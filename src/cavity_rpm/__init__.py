@@ -40,6 +40,7 @@ from .entanglement import (
     noon_feasibility,
     noon_score,
     sample_joint,
+    score_samples,
 )
 from .harmonic import harmonic_amplitudes, harmonic_line_spectra, harmonic_overlap
 from .jc import (
@@ -105,6 +106,7 @@ __all__ = [
     "rpm_walk",
     "run_checks",
     "sample_joint",
+    "score_samples",
     "smoothed_density",
     "spectra_from_eigen",
     "__version__",

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__, effective, harmonic, jc, rpm
 from .core import ModelParams, NumericalFailureError, smoothed_density
 from .dynamics import default_time_grid, evolve, first_transfer_time
-from .entanglement import default_sampling_window, sample_joint
+from .entanglement import default_sampling_window, sample_joint, score_samples
 from .validation import run_checks
 
 MODELS = ("jc", "harmonic", "anharmonic-rpm", "anharmonic-oracle")
@@ -115,16 +116,11 @@ def _fmt(x) -> str:
 
 def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]):
     header = ",".join(name for name, _ in columns)
-    rows = zip(*(np.atleast_1d(col) for _, col in columns)) if columns else ()
+    rows = zip(*(np.atleast_1d(col) for _, col in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_header_only_csv(path: Path, names: list[str]):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
 
 
 def _write_json(path: Path, payload: dict):
@@ -373,7 +369,7 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
             )]
         transfer: dict[str, float | None] = {}
         if t_max == 0:
-            _write_header_only_csv(csv_path, names)
+            _write_csv(csv_path, [(name, ()) for name in names])
             if first_transfer:
                 raise ConfigError("first-transfer needs a non-empty time window")
         else:
@@ -415,17 +411,8 @@ def _noon_single(cfg: dict, params: ModelParams):
     dt = dt_auto if cfg["dt"] is None else float(cfg["dt"])
     ret, tra = evolve(spec00, specn0, t_max, dt)
     hist = sample_joint(ret, tra, int(cfg["bins"]))
-    scores = (np.abs(ret.values) + np.abs(tra.values)) ** 2 / 2.0
-    best = int(np.argmax(scores))
-    summary = {
-        "max_score": float(scores[best]),
-        "argmax_time": float(ret.times[best]),
-        "fraction_above": float(np.mean(scores > cfg["noon_threshold"])),
-        "threshold": cfg["noon_threshold"],
-        "n_samples": hist.n_samples,
-        "t_max": t_max,
-        "dt": dt,
-    }
+    feasibility = score_samples(ret, tra, cfg["noon_threshold"])
+    summary = {**dataclasses.asdict(feasibility), "t_max": t_max, "dt": dt}
     return hist, summary
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     LineSpectrum,
@@ -116,6 +115,10 @@ def diagonalize(h: SectorHamiltonian) -> EigenDecomposition:
     NumericalFailureError
         If the tridiagonal eigensolver fails to converge.
     """
+    # imported here: it takes most of the package's import time, and the
+    # recursion and closed-form paths never need it
+    import scipy.linalg
+
     try:
         energies, vectors = scipy.linalg.eigh_tridiagonal(h.diag, h.offdiag)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:

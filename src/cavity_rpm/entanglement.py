@@ -22,6 +22,7 @@ __all__ = [
     "NoonFeasibility",
     "sample_joint",
     "noon_score",
+    "score_samples",
     "noon_feasibility",
     "default_sampling_window",
 ]
@@ -80,16 +81,17 @@ def sample_joint(ret: AmplitudeSeries, tra: AmplitudeSeries, bins: int = 50) -> 
     return JointHistogram(bins=counts / n, n_samples=n, bin_width=1.0 / bins)
 
 
-def noon_score(return_amp: complex, transition_amp: complex) -> float:
+def noon_score(return_amp, transition_amp):
     """Best overlap-squared with the balanced edge superposition.
 
     Maximized over the relative phase of the target state, the overlap
     squared is ``(|c0| + |cN|)^2 / 2``; 1 for a perfect balanced
-    superposition, 0.5 for a bare edge Fock state.
+    superposition, 0.5 for a bare edge Fock state.  Scalars give a float,
+    arrays of amplitudes an array of scores.
     """
-    c0 = abs(return_amp)
-    cn = abs(transition_amp)
-    if c0 > 1.0 + SCORE_INPUT_TOL or cn > 1.0 + SCORE_INPUT_TOL:
+    c0 = np.abs(return_amp)
+    cn = np.abs(transition_amp)
+    if np.max(c0) > 1.0 + SCORE_INPUT_TOL or np.max(cn) > 1.0 + SCORE_INPUT_TOL:
         raise ValueError("amplitude moduli of normalized states cannot exceed 1")
     return (c0 + cn) ** 2 / 2.0
 
@@ -123,25 +125,15 @@ class NoonFeasibility:
     n_samples: int
 
 
-def noon_feasibility(
-    params: ModelParams,
-    t_max: float | None = None,
-    dt: float | None = None,
-    threshold: float = 0.55,
+def score_samples(
+    ret: AmplitudeSeries, tra: AmplitudeSeries, threshold: float = 0.55
 ) -> NoonFeasibility:
-    """Scan the evolved dynamics and summarize N00N-state reachability.
+    """Score every sample with :func:`noon_score` and summarize the window.
 
-    Evolves the sector eigen-spectra over the window, scores every sample
-    with :func:`noon_score` and reports the best score, the earliest time
-    attaining it and the fraction of samples scoring above ``threshold``.
+    Reports the best score, the earliest time attaining it and the fraction
+    of samples scoring above ``threshold``.
     """
-    spec00, specn0 = spectra_from_eigen(diagonalize(build_sector_hamiltonian(params)))
-    if t_max is None or dt is None:
-        auto_tmax, auto_dt = default_sampling_window(params, spec00)
-        t_max = auto_tmax if t_max is None else t_max
-        dt = auto_dt if dt is None else dt
-    ret, tra = evolve(spec00, specn0, t_max, dt)
-    scores = (np.abs(ret.values) + np.abs(tra.values)) ** 2 / 2.0
+    scores = noon_score(ret.values, tra.values)
     best = int(np.argmax(scores))
     return NoonFeasibility(
         max_score=float(scores[best]),
@@ -150,3 +142,23 @@ def noon_feasibility(
         threshold=threshold,
         n_samples=len(ret),
     )
+
+
+def noon_feasibility(
+    params: ModelParams,
+    t_max: float | None = None,
+    dt: float | None = None,
+    threshold: float = 0.55,
+) -> NoonFeasibility:
+    """Scan the evolved dynamics and summarize N00N-state reachability.
+
+    Evolves the sector eigen-spectra over the window and summarizes it with
+    :func:`score_samples`.
+    """
+    spec00, specn0 = spectra_from_eigen(diagonalize(build_sector_hamiltonian(params)))
+    if t_max is None or dt is None:
+        auto_tmax, auto_dt = default_sampling_window(params, spec00)
+        t_max = auto_tmax if t_max is None else t_max
+        dt = auto_dt if dt is None else dt
+    ret, tra = evolve(spec00, specn0, t_max, dt)
+    return score_samples(ret, tra, threshold)

@@ -33,20 +33,27 @@ def harmonic_overlap(n_photons: int, k: int) -> float:
         raise ValueError(f"photon number must be >= 0, got {n_photons}")
     if not 0 <= k <= n_photons:
         raise ValueError(f"k must lie in 0..{n_photons}, got {k}")
-    return math.sqrt(math.comb(n_photons, k) / 2.0**n_photons)
+    return math.sqrt(math.comb(n_photons, k) / (1 << n_photons))
 
 
 def harmonic_line_spectra(params: ModelParams) -> tuple[LineSpectrum, LineSpectrum]:
     """Binomial line spectra of the N-photon sector at g = 0.
 
     Levels sit at ``omega0 N + J (N - 2k)`` with diagonal weight
-    ``C(N,k) / 2^N`` and cross weight ``(-1)^k C(N,k) / 2^N``.
+    ``C(N,k) / 2^N`` and cross weight ``(-1)^k C(N,k) / 2^N``.  Each weight
+    is the correctly rounded quotient of exact integers, so no intermediate
+    overflows at large N; weights below double range round to zero.
     """
     n = params.n_photons
     _require_even(n)
     k = np.arange(n + 1)
     energies = params.omega0 * n + params.j_tun * (n - 2.0 * k)
-    w00 = np.array([math.comb(n, int(i)) for i in k], dtype=float) / 2.0**n
+    w00 = np.empty(n + 1)
+    total = 1 << n
+    binomial = 1
+    for i in range(n + 1):
+        w00[i] = binomial / total
+        binomial = binomial * (n - i) // (i + 1)
     w10 = w00 * (-1.0) ** k
     merged_e, (m00, m10) = merge_degenerate_lines(energies, [w00, w10])
     return (

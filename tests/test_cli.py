@@ -1,9 +1,15 @@
 """End-to-end command-line behavior: files, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+import cavity_rpm
 from cavity_rpm import validation
 from cavity_rpm.cli import main
 from cavity_rpm.validation import CheckResult
@@ -61,6 +67,27 @@ def test_dynamics_with_first_transfer(tmp_path):
     transfer = json.loads((tmp_path / "first_transfer.json").read_text())
     assert set(transfer["times"]) == {"anharmonic-oracle", "harmonic"}
     assert 0.0 < transfer["times"]["harmonic"] < 10.0
+
+
+def test_harmonic_spectrum_beyond_n_1023(tmp_path):
+    result = invoke("spectrum", "--model", "harmonic", "--N", 2000, "--J", 0.8,
+                    "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "spectrum_harmonic.csv").read_text().splitlines()
+    assert len(rows) == 2002
+    assert sum(float(r.split(",")[1]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    src = str(Path(cavity_rpm.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cavity_rpm.cli; print('scipy.linalg' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert probe.stdout.strip() == "False"
 
 
 def test_dynamics_empty_window_writes_header_only(tmp_path):

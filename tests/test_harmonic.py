@@ -115,3 +115,14 @@ def test_edge_probabilities_never_exceed_one():
     ret, tra = harmonic_amplitudes(ModelParams(n_photons=8, omega0=1.0, j_tun=0.8), t)
     total = np.abs(ret.values) ** 2 + np.abs(tra.values) ** 2
     assert float(np.max(total)) <= 1.0 + 1e-12
+
+
+def test_weights_do_not_overflow_beyond_n_1023():
+    # 2.0**N overflows at N = 1024 and C(N, k) exceeds double range near N = 1030
+    spec00, spec10 = harmonic_line_spectra(ModelParams(n_photons=2000, j_tun=0.8))
+    assert len(spec00) == 2001
+    assert math.fsum(spec00.weights) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(spec00.weights >= 0.0)
+    assert np.max(np.abs(np.abs(spec10.weights) - spec00.weights)) == 0.0
+    assert harmonic_overlap(2000, 1000) ** 2 == pytest.approx(
+        math.comb(2000, 1000) / (1 << 2000), rel=1e-15)
