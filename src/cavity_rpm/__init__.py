@@ -17,8 +17,6 @@ from .core import (
     ModelParams,
     NearPoleError,
     NumericalFailureError,
-    ResolventSample,
-    SpectralLine,
     UnsupportedModelError,
     amplitude_from_lines,
     merge_degenerate_lines,
@@ -52,7 +50,6 @@ from .jc import (
     rabi_line_spectra,
 )
 from .rpm import (
-    RpmState,
     check_sign_symmetry,
     pair_coupling_sq,
     pair_energy,
@@ -73,10 +70,7 @@ __all__ = [
     "NearPoleError",
     "NoonFeasibility",
     "NumericalFailureError",
-    "ResolventSample",
-    "RpmState",
     "SectorHamiltonian",
-    "SpectralLine",
     "UnsupportedModelError",
     "ValidationReport",
     "amplitude_from_lines",

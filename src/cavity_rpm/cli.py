@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -28,6 +26,12 @@ from .entanglement import default_sampling_window, sample_joint, score_samples
 from .validation import run_checks
 
 MODELS = ("jc", "harmonic", "anharmonic-rpm", "anharmonic-oracle")
+
+# dynamics CSV columns per model, after an optional "harmonic_" prefix
+AMPLITUDE_SUFFIXES = (
+    "return_re", "return_im", "return_abs",
+    "transition_re", "transition_im", "transition_abs",
+)
 
 DEFAULTS = {
     "model": "anharmonic-oracle",
@@ -95,19 +99,6 @@ def _params(cfg: dict) -> ModelParams:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CAVITY_RPM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"CAVITY_RPM_THREADS must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise ConfigError(f"CAVITY_RPM_THREADS must be >= 1, got {count}")
-    return count
 
 
 def _fmt(x) -> str:
@@ -180,17 +171,6 @@ def _energy_grid(cfg: dict, params: ModelParams) -> np.ndarray:
 
 def _smoothed_pair(model: str, params: ModelParams, grid: np.ndarray, epsilon: float):
     if model == "anharmonic-rpm":
-        workers = _worker_count()
-        if workers > 1:
-            chunks = np.array_split(grid, workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(lambda c: rpm.rpm_spectra(params, c, epsilon), chunks)
-                )
-            return (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-            )
         return rpm.rpm_spectra(params, grid, epsilon)
     spec00, specn0 = _line_spectra(model, params)
     rho00 = smoothed_density(spec00, grid, epsilon)
@@ -323,14 +303,11 @@ def spectrum(config_path, out, compare, **flag_values):
 
 
 def _amplitude_columns(prefix: str, ret, tra) -> list[tuple[str, np.ndarray]]:
-    return [
-        (f"{prefix}return_re", ret.values.real),
-        (f"{prefix}return_im", ret.values.imag),
-        (f"{prefix}return_abs", np.abs(ret.values)),
-        (f"{prefix}transition_re", tra.values.real),
-        (f"{prefix}transition_im", tra.values.imag),
-        (f"{prefix}transition_abs", np.abs(tra.values)),
-    ]
+    values = (
+        ret.values.real, ret.values.imag, np.abs(ret.values),
+        tra.values.real, tra.values.imag, np.abs(tra.values),
+    )
+    return [(prefix + name, v) for name, v in zip(AMPLITUDE_SUFFIXES, values)]
 
 
 @main.command()
@@ -360,15 +337,10 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
         if compare and cfg["model"] != "harmonic":
             models.append("harmonic")
         csv_path = out_path / f"dynamics_{cfg['model']}.csv"
-        names = ["t"]
-        for model in models:
-            prefix = "" if model == cfg["model"] else "harmonic_"
-            names += [f"{prefix}{c}" for c in (
-                "return_re", "return_im", "return_abs",
-                "transition_re", "transition_im", "transition_abs",
-            )]
+        prefixes = {m: "" if m == cfg["model"] else "harmonic_" for m in models}
         transfer: dict[str, float | None] = {}
         if t_max == 0:
+            names = ["t"] + [prefixes[m] + c for m in models for c in AMPLITUDE_SUFFIXES]
             _write_csv(csv_path, [(name, ()) for name in names])
             if first_transfer:
                 raise ConfigError("first-transfer needs a non-empty time window")
@@ -379,8 +351,7 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
                 ret, tra = evolve(spec00, specn0, t_max, dt)
                 if not columns:
                     columns.append(("t", ret.times))
-                prefix = "" if model == cfg["model"] else "harmonic_"
-                columns += _amplitude_columns(prefix, ret, tra)
+                columns += _amplitude_columns(prefixes[model], ret, tra)
                 transfer[model] = first_transfer_time(tra, cfg["transfer_threshold"])
             _write_csv(csv_path, columns)
         extra = {"t_max": t_max, "dt": dt}
@@ -452,14 +423,7 @@ def noon(config_path, out, **flag_values):
         if not isinstance(sweep, (list, tuple)) or not sweep:
             raise ConfigError("sweep_n must be a non-empty list of photon numbers")
         cfgs = [{**cfg, "N": int(n), "sweep_n": None} for n in sweep]
-        workers = min(_worker_count(), len(cfgs))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(
-                    lambda c: _noon_single(c, _params(c)), cfgs
-                ))
-        else:
-            results = [_noon_single(c, _params(c)) for c in cfgs]
+        results = [_noon_single(c, _params(c)) for c in cfgs]
         for sub_cfg, (hist, summary) in zip(cfgs, results):
             csv_path = _write_noon(out_path, sub_cfg, f"_N{sub_cfg['N']}", hist, summary)
             click.echo(f"wrote {csv_path}")

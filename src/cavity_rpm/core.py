@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,9 +26,7 @@ __all__ = [
     "NumericalFailureError",
     "NearPoleError",
     "ModelParams",
-    "SpectralLine",
     "LineSpectrum",
-    "ResolventSample",
     "AmplitudeSeries",
     "merge_degenerate_lines",
     "smoothed_density",
@@ -99,14 +97,6 @@ class ModelParams:
             raise ValueError(f"j_tun must be >= 0, got {self.j_tun}")
 
 
-@dataclass(frozen=True)
-class SpectralLine:
-    """One pole of the resolvent: an energy with its spectral weight."""
-
-    energy: float
-    weight: complex
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.flags.writeable = False
@@ -152,24 +142,8 @@ class LineSpectrum:
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def lines(self) -> tuple[SpectralLine, ...]:
-        return tuple(SpectralLine(float(e), complex(w))
-                     for e, w in zip(self.energies, self.weights))
-
     def __len__(self) -> int:
         return int(self.energies.size)
-
-    def __iter__(self) -> Iterator[SpectralLine]:
-        return iter(self.lines)
-
-
-@dataclass(frozen=True)
-class ResolventSample:
-    """Value of a resolvent matrix element at one complex energy."""
-
-    z: complex
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -356,8 +330,6 @@ def amplitude_from_lines(spec: LineSpectrum, times) -> AmplitudeSeries:
     return AmplitudeSeries(times=t, values=values)
 
 
-def resolvent_from_lines(spec: LineSpectrum, z: complex) -> ResolventSample:
+def resolvent_from_lines(spec: LineSpectrum, z: complex) -> complex:
     """Evaluate the resolvent matrix element ``sum_j w_j / (z - E_j)``."""
-    zc = complex(z)
-    value = complex(np.sum(spec.weights / (zc - spec.energies)))
-    return ResolventSample(z=zc, value=value)
+    return complex(np.sum(spec.weights / (complex(z) - spec.energies)))

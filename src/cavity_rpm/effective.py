@@ -19,6 +19,7 @@ from .core import (
     LineSpectrum,
     ModelParams,
     NumericalFailureError,
+    _readonly,
     merge_degenerate_lines,
 )
 
@@ -57,10 +58,8 @@ class SectorHamiltonian:
             raise ValueError("diagonal breaks cavity-exchange symmetry")
         if not np.allclose(h, h[::-1], rtol=0, atol=1e-12 * scale):
             raise ValueError("off-diagonal breaks cavity-exchange symmetry")
-        for name, arr in (("diag", d), ("offdiag", h)):
-            arr = np.array(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "diag", _readonly(d))
+        object.__setattr__(self, "offdiag", _readonly(h))
 
     def dense(self) -> np.ndarray:
         m = np.diag(self.diag)
@@ -80,10 +79,8 @@ class EigenDecomposition:
         v = np.asarray(self.vectors, dtype=float)
         if v.shape != (e.size, e.size):
             raise ValueError("vectors must be square with one column per energy")
-        for name, arr in (("energies", e), ("vectors", v)):
-            arr = np.array(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "energies", _readonly(e))
+        object.__setattr__(self, "vectors", _readonly(v))
 
 
 def build_sector_hamiltonian(params: ModelParams) -> SectorHamiltonian:

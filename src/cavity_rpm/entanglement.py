@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AmplitudeSeries, LineSpectrum, ModelParams
+from .core import AmplitudeSeries, LineSpectrum, ModelParams, _readonly
 from .dynamics import evolve
 from .effective import build_sector_hamiltonian, diagonalize, spectra_from_eigen
 
@@ -49,9 +49,7 @@ class JointHistogram:
             raise ValueError("histogram must be normalized to total mass 1")
         if not math.isclose(self.bin_width, 1.0 / b.shape[0], rel_tol=1e-12):
             raise ValueError("bin_width must equal 1 / B")
-        b = np.array(b)
-        b.flags.writeable = False
-        object.__setattr__(self, "bins", b)
+        object.__setattr__(self, "bins", _readonly(b))
 
     @property
     def size(self) -> int:

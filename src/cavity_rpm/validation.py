@@ -108,7 +108,7 @@ def check_herglotz() -> CheckResult:
         a, _ = rpm.rpm_resolvent(params, re + 1j * im)
         worst = min(worst, float(np.min(a.imag)))
         for z in re + 1j * im:
-            worst = min(worst, resolvent_from_lines(spec00, z).value.imag)
+            worst = min(worst, resolvent_from_lines(spec00, z).imag)
     passed = worst >= -1e-13
     return CheckResult(
         "herglotz", passed,
@@ -148,16 +148,16 @@ def check_oracle_equivalence() -> CheckResult:
             continue
         h = effective.build_sector_hamiltonian(params)
         for z in _PROBE_Z:
-            for state in rpm.rpm_walk(params, z):
-                a_ref, b_ref = _dense_pair_elements(h, complex(z), state.k)
-                rel_a = abs(state.a - a_ref) / max(abs(a_ref), 1e-280)
-                rel_b = abs(state.b - b_ref) / max(abs(b_ref), 1e-280)
+            for k, a, b in rpm.rpm_walk(params, z):
+                a_ref, b_ref = _dense_pair_elements(h, complex(z), k)
+                rel_a = abs(a - a_ref) / max(abs(a_ref), 1e-280)
+                rel_b = abs(b - b_ref) / max(abs(b_ref), 1e-280)
                 err = max(rel_a, rel_b)
                 worst = max(worst, err)
                 n_compared += 1
                 if err > tol and first_fail is None:
                     first_fail = {
-                        "depth": state.k,
+                        "depth": k,
                         "n_photons": params.n_photons,
                         "g": params.g,
                         "j_tun": params.j_tun,

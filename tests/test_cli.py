@@ -15,8 +15,8 @@ from cavity_rpm.cli import main
 from cavity_rpm.validation import CheckResult
 
 
-def invoke(*args, env=None):
-    return CliRunner().invoke(main, [str(a) for a in args], env=env)
+def invoke(*args):
+    return CliRunner().invoke(main, [str(a) for a in args])
 
 
 def test_spectrum_lines_frozen_and_deterministic(tmp_path):
@@ -202,23 +202,3 @@ def test_validate_failure_exits_4(tmp_path, monkeypatch):
     assert result.exit_code == 4
     report = json.loads((tmp_path / "validation_report.json").read_text())
     assert report["passed"] is False
-
-
-def test_thread_fanout_is_byte_identical(tmp_path):
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    args = ("spectrum", "--model", "anharmonic-rpm", "--N", 8, "--g", 1.2,
-            "--J", 0.8, "--epsilon", 0.01)
-    result = invoke(*args, "--out", serial)
-    assert result.exit_code == 0, result.output
-    result = invoke(*args, "--out", threaded, env={"CAVITY_RPM_THREADS": "3"})
-    assert result.exit_code == 0, result.output
-    name = "spectrum_anharmonic-rpm.csv"
-    assert (serial / name).read_bytes() == (threaded / name).read_bytes()
-
-
-def test_bad_thread_count_rejected(tmp_path):
-    result = invoke("spectrum", "--model", "anharmonic-rpm", "--N", 4, "--g", 1.2,
-                    "--J", 0.8, "--epsilon", 0.01, "--out", tmp_path,
-                    env={"CAVITY_RPM_THREADS": "zero"})
-    assert result.exit_code == 2

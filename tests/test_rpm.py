@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_rpm.core import (
     ModelParams,
@@ -72,6 +74,8 @@ def test_large_z_asymptotics():
 def test_rejects_odd_n_and_real_z():
     with pytest.raises(UnsupportedModelError):
         rpm_resolvent(ModelParams(n_photons=3, j_tun=0.5), 1.0j)
+    with pytest.raises(UnsupportedModelError):
+        list(rpm_walk(ModelParams(n_photons=3, j_tun=0.5), 1.0j))
     with pytest.raises(ValueError, match="real axis"):
         rpm_resolvent(ModelParams(n_photons=2, j_tun=0.5), 1.0 + 0.0j)
     with pytest.raises(ValueError, match="real axis"):
@@ -86,14 +90,58 @@ def test_near_pole_raises_with_depth():
     assert excinfo.value.depth == 1
 
 
+def test_walk_near_pole_raises_with_depth():
+    params = ModelParams(n_photons=2, omega0=0.0, g=0.0, j_tun=1.0)
+    with pytest.raises(NearPoleError) as excinfo:
+        list(rpm_walk(params, 2.0 - 1e-320j))
+    assert excinfo.value.depth == 1
+
+
 def test_walk_yields_every_depth():
     params = ModelParams(n_photons=12, omega0=1.0, g=1.2, j_tun=0.8)
     z = 10.0 + 0.5j
     states = list(rpm_walk(params, z))
-    assert [s.k for s in states] == list(range(7))
+    assert [k for k, _, _ in states] == list(range(7))
     a, b = rpm_resolvent(params, z)
-    assert states[-1].a == pytest.approx(a, rel=1e-14)
-    assert states[-1].b == pytest.approx(b, rel=1e-14)
+    _, a_walk, b_walk = states[-1]
+    assert a_walk == pytest.approx(a, rel=1e-14)
+    assert b_walk == pytest.approx(b, rel=1e-14)
+
+
+@st.composite
+def _params_and_points(draw):
+    """Random sector parameters and 1-4 points across the spectrum, off the axis."""
+    params = ModelParams(
+        n_photons=2 * draw(st.integers(1, 20)),
+        omega0=draw(st.sampled_from([0.0, 1.0])),
+        g=draw(st.floats(-1.5, 1.5)),
+        j_tun=draw(st.floats(0.05, 1.5)),
+        sigma=draw(st.sampled_from([1, -1])),
+    )
+    levels = np.linalg.eigvalsh(build_sector_hamiltonian(params).dense())
+    z = [
+        draw(st.floats(levels[0] - 1.0, levels[-1] + 1.0))
+        + 1j * draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([1, -1]))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return params, np.array(z)
+
+
+@settings(deadline=None)
+@given(_params_and_points())
+def test_recursion_paths_match_dense_solve(case):
+    """rpm_resolvent on an array and the last depth of rpm_walk at each point
+    agree with a dense solve to criterion 3's relative 1e-9."""
+    params, z = case
+    a, b = rpm_resolvent(params, z)
+    for i, zi in enumerate(z):
+        a_ref, b_ref = dense_edge_elements(params, zi)
+        *_, (_, a_walk, b_walk) = rpm_walk(params, zi)
+        for got_a, got_b in ((a[i], b[i]), (a_walk, b_walk)):
+            assert abs(got_a - a_ref) / abs(a_ref) < 1e-9
+            assert abs(got_b - b_ref) / max(abs(b_ref), 1e-280) < 1e-9
+            if zi.imag < 0:
+                assert got_a.imag >= -1e-13
 
 
 def test_zero_tunneling_decouples_edge():
