@@ -29,6 +29,7 @@ from .effective import (
     SectorHamiltonian,
     build_sector_hamiltonian,
     diagonalize,
+    parity_chain_spectra,
     spectra_from_eigen,
 )
 from .entanglement import (
@@ -91,6 +92,7 @@ __all__ = [
     "noon_feasibility",
     "noon_score",
     "pair_coupling_sq",
+    "parity_chain_spectra",
     "pair_energy",
     "rabi_amplitudes",
     "rabi_line_spectra",

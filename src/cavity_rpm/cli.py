@@ -133,12 +133,22 @@ def _line_spectra(model: str, params: ModelParams):
     if model == "harmonic":
         return harmonic.harmonic_line_spectra(params)
     if model == "anharmonic-oracle":
-        h = effective.build_sector_hamiltonian(params)
-        return effective.spectra_from_eigen(effective.diagonalize(h))
+        return effective.parity_chain_spectra(effective.build_sector_hamiltonian(params))
     raise ConfigError(
         f"model {model!r} provides no line spectrum; it evaluates broadened "
         "densities only (set epsilon)"
     )
+
+
+def _diagnostics(spec00) -> dict:
+    """Deterministic figures of a diagonal line spectrum, for the sidecars:
+    exact-zero weights (underflow, or a line the edge state does not reach)
+    and the departure of the weight sum from one."""
+    return {
+        "lines": len(spec00),
+        "zero_weight_lines": int(np.count_nonzero(spec00.weights == 0)),
+        "weight_sum_defect": float(np.sum(spec00.weights)) - 1.0,
+    }
 
 
 def _default_energy_grid(model: str, params: ModelParams, epsilon: float, points: int):
@@ -281,6 +291,7 @@ def spectrum(config_path, out, compare, **flag_values):
                         _sidecar("spectrum", cfg, {"compare": report}))
             click.echo(f"wrote {csv_path}")
             return
+        extra = None
         if cfg["epsilon"] is None:
             spec00, specn0 = _line_spectra(cfg["model"], params)
             csv_path = out_path / f"spectrum_{cfg['model']}.csv"
@@ -289,6 +300,7 @@ def spectrum(config_path, out, compare, **flag_values):
                 ("weight00", np.real(spec00.weights)),
                 ("weightN0", np.real(specn0.weights)),
             ])
+            extra = {"diagnostics": {cfg["model"]: _diagnostics(spec00)}}
         else:
             grid = _energy_grid(cfg, params)
             rho00, rhon0 = _smoothed_pair(cfg["model"], params, grid, cfg["epsilon"])
@@ -296,7 +308,7 @@ def spectrum(config_path, out, compare, **flag_values):
             _write_csv(csv_path, [
                 ("energy", grid), ("rho00", rho00), ("rhoN0", rhon0),
             ])
-        _write_json(csv_path.with_suffix(".json"), _sidecar("spectrum", cfg))
+        _write_json(csv_path.with_suffix(".json"), _sidecar("spectrum", cfg, extra))
         click.echo(f"wrote {csv_path}")
 
     _guarded(run)
@@ -339,6 +351,7 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
         csv_path = out_path / f"dynamics_{cfg['model']}.csv"
         prefixes = {m: "" if m == cfg["model"] else "harmonic_" for m in models}
         transfer: dict[str, float | None] = {}
+        diagnostics: dict[str, dict] = {}
         if t_max == 0:
             names = ["t"] + [prefixes[m] + c for m in models for c in AMPLITUDE_SUFFIXES]
             _write_csv(csv_path, [(name, ()) for name in names])
@@ -348,13 +361,14 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
             columns: list[tuple[str, np.ndarray]] = []
             for model in models:
                 spec00, specn0 = _line_spectra(model, params)
+                diagnostics[model] = _diagnostics(spec00)
                 ret, tra = evolve(spec00, specn0, t_max, dt)
                 if not columns:
                     columns.append(("t", ret.times))
                 columns += _amplitude_columns(prefixes[model], ret, tra)
                 transfer[model] = first_transfer_time(tra, cfg["transfer_threshold"])
             _write_csv(csv_path, columns)
-        extra = {"t_max": t_max, "dt": dt}
+        extra = {"t_max": t_max, "dt": dt, "diagnostics": diagnostics}
         if first_transfer and t_max > 0:
             transfer_path = out_path / "first_transfer.json"
             _write_json(transfer_path, {
@@ -384,10 +398,10 @@ def _noon_single(cfg: dict, params: ModelParams):
     hist = sample_joint(ret, tra, int(cfg["bins"]))
     feasibility = score_samples(ret, tra, cfg["noon_threshold"])
     summary = {**dataclasses.asdict(feasibility), "t_max": t_max, "dt": dt}
-    return hist, summary
+    return hist, summary, {model: _diagnostics(spec00)}
 
 
-def _write_noon(out_path: Path, cfg: dict, suffix: str, hist, summary):
+def _write_noon(out_path: Path, cfg: dict, suffix: str, hist, summary, diagnostics):
     centers = hist.bin_centers()
     c0 = np.repeat(centers, hist.size)
     cn = np.tile(centers, hist.size)
@@ -400,8 +414,9 @@ def _write_noon(out_path: Path, cfg: dict, suffix: str, hist, summary):
         "bins": hist.size,
         "bin_width": hist.bin_width,
     }
-    _write_json(csv_path.with_suffix(".json"),
-                _sidecar("noon", cfg, {"summary": summary, "metadata": metadata}))
+    _write_json(csv_path.with_suffix(".json"), _sidecar("noon", cfg, {
+        "summary": summary, "metadata": metadata, "diagnostics": diagnostics,
+    }))
     return csv_path
 
 
@@ -416,16 +431,15 @@ def noon(config_path, out, **flag_values):
         sweep = cfg["sweep_n"]
         if sweep is None:
             params = _params(cfg)
-            hist, summary = _noon_single(cfg, params)
-            csv_path = _write_noon(out_path, cfg, "", hist, summary)
+            csv_path = _write_noon(out_path, cfg, "", *_noon_single(cfg, params))
             click.echo(f"wrote {csv_path}")
             return
         if not isinstance(sweep, (list, tuple)) or not sweep:
             raise ConfigError("sweep_n must be a non-empty list of photon numbers")
         cfgs = [{**cfg, "N": int(n), "sweep_n": None} for n in sweep]
         results = [_noon_single(c, _params(c)) for c in cfgs]
-        for sub_cfg, (hist, summary) in zip(cfgs, results):
-            csv_path = _write_noon(out_path, sub_cfg, f"_N{sub_cfg['N']}", hist, summary)
+        for sub_cfg, result in zip(cfgs, results):
+            csv_path = _write_noon(out_path, sub_cfg, f"_N{sub_cfg['N']}", *result)
             click.echo(f"wrote {csv_path}")
 
     _guarded(run)

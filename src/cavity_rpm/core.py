@@ -37,6 +37,8 @@ __all__ = [
 MERGE_RTOL = 1e-9
 DIAGONAL_SUM_TOL = 1e-10
 AMPLITUDE_BOUND_TOL = 1e-9
+# entries of the Lorentzian matrix that smoothed_density evaluates at once
+_DENSITY_BLOCK = 2**16
 
 
 class UnsupportedModelError(ValueError):
@@ -217,16 +219,14 @@ def merge_degenerate_lines(
     e = e[order]
     sets = [w[order] for w in sets]
 
-    boundaries = [0]
-    for i in range(1, e.size):
-        tol = rtol * max(1.0, abs(e[i]))
-        if e[i] - e[i - 1] > tol:
-            boundaries.append(i)
-    boundaries.append(e.size)
-
-    merged_e = np.empty(len(boundaries) - 1)
-    merged_sets = [np.empty(len(boundaries) - 1, dtype=w.dtype) for w in sets]
-    for j in range(len(boundaries) - 1):
+    starts = np.flatnonzero(np.diff(e) > rtol * np.maximum(1.0, np.abs(e[1:]))) + 1
+    boundaries = np.concatenate([[0], starts, [e.size]])
+    # a level alone keeps its values, with -0.0 made 0.0 (+ 0) as a NumPy
+    # mean or sum of one term makes it; only clusters of several levels take
+    # a mean and sums
+    merged_e = e[boundaries[:-1]] + 0
+    merged_sets = [w[boundaries[:-1]] + 0 for w in sets]
+    for j in np.flatnonzero(np.diff(boundaries) > 1):
         lo, hi = boundaries[j], boundaries[j + 1]
         merged_e[j] = e[lo:hi].mean()
         for w, out in zip(sets, merged_sets):
@@ -253,8 +253,16 @@ def smoothed_density(spec: LineSpectrum, energies, epsilon: float):
     grid = np.asarray(energies, dtype=float)
     if grid.size == 0:
         raise ValueError("energy grid must be non-empty")
-    lorentz = epsilon / (epsilon**2 + (grid[:, None] - spec.energies[None, :]) ** 2)
-    out = lorentz @ spec.weights / np.pi
+    # the Lorentzian matrix block by block, each block a multiple of 4 rows and
+    # the last one taking the remainder, so that every row is summed as in one
+    # product over the whole grid: OpenBLAS's gemv kernels take rows in
+    # groups of 4, and a block of a single row would be summed another way
+    rows = 4 * max(1, _DENSITY_BLOCK // (4 * spec.energies.size))
+    bounds = [*range(0, max(grid.size - rows, 1), rows), grid.size]
+    out = np.empty(grid.size, dtype=np.result_type(float, spec.weights))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        lorentz = epsilon / (epsilon**2 + (grid[lo:hi, None] - spec.energies[None, :]) ** 2)
+        out[lo:hi] = lorentz @ spec.weights / np.pi
     if spec.kind == "diagonal":
         return np.real(out)
     return out

@@ -1,21 +1,27 @@
 """Photon-sector Hamiltonian of two coupled anharmonic cavities, and its
-exact diagonalization.
+edge-state line spectra.
 
 With atomic branch flips dropped, the N-photon sector over the basis
 |N-k, k> (k photons in the second cavity) is a real symmetric tridiagonal
 matrix: a square-root photon interaction on the diagonal and the bosonic
-tunneling amplitudes next to it.  Diagonalizing it exactly provides both
-the production path for line spectra and the independent reference that
-the projection recursion is validated against.
+tunneling amplitudes next to it.
+
+Line spectra come from the two exchange-parity chains of that matrix
+(:func:`parity_chain_spectra`): eigenvalues only, in O(N) memory.  The dense
+eigensolve with eigenvectors (:func:`diagonalize`, :func:`spectra_from_eigen`)
+is the oracle that the chains, and the projection recursion, are validated
+against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    DIAGONAL_SUM_TOL,
     LineSpectrum,
     ModelParams,
     NumericalFailureError,
@@ -29,9 +35,12 @@ __all__ = [
     "build_sector_hamiltonian",
     "diagonalize",
     "spectra_from_eigen",
+    "parity_chain_spectra",
 ]
 
 SIGN_PIVOT_TOL = 1e-12
+# ratios of the interlacing product evaluated at once: a few 256 kB arrays
+_RATIO_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -144,4 +153,100 @@ def spectra_from_eigen(decomp: EigenDecomposition) -> tuple[LineSpectrum, LineSp
     return (
         LineSpectrum(energies=merged_e, weights=m00, kind="diagonal"),
         LineSpectrum(energies=merged_e, weights=mn0, kind="offdiagonal"),
+    )
+
+
+def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    if d.size == 0:
+        return d.copy()
+    import scipy.linalg  # imported here for the reason diagonalize gives
+
+    try:
+        return scipy.linalg.eigvalsh_tridiagonal(d, e)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
+
+
+def _edge_lines(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of one chain and the squared first components of its
+    eigenvectors, from the eigenvalues of the chain and of the chain
+    without its first row (Golub & Welsch 1969):
+
+        w_j = prod_i |lam_j - mu_i| / prod_{i != j} |lam_j - lam_i|.
+    """
+    mu = _chain_eigenvalues(d[1:], e[1:])
+    if not np.any(e[:1]):
+        # the first state is decoupled (J = 0, or a chain of one state), so
+        # it is an eigenvector; the interlacing product would read 0/0
+        return np.concatenate([d[:1], mu]), np.concatenate([[1.0], np.zeros(mu.size)])
+    lam = _chain_eigenvalues(d, e)
+    n = lam.size
+    weights = np.empty(n)
+    cols = np.arange(n - 1)
+    rows = max(1, _RATIO_BLOCK // n)
+    for start in range(0, n, rows):
+        j = np.arange(start, min(start + rows, n))
+        x = lam[j, None]
+        # mu_i paired with lam_i below j and with lam_{i+1} from j on: by
+        # interlacing every ratio lies in (0, 1), so the product cannot
+        # overflow; |.| because rounding can break the interlacing.  Eigenvalues
+        # equal to rounding give 0/0, which the sum check below reports
+        paired = np.where(cols < j[:, None], lam[:-1], lam[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights[j] = np.prod(np.abs((x - mu) / (x - paired)), axis=1)
+    total = float(np.sum(weights))
+    if not abs(total - 1.0) <= DIAGONAL_SUM_TOL:
+        raise NumericalFailureError(
+            f"parity-chain edge weights sum to {total!r}: the chain's eigenvalues "
+            "lie too close together to resolve them"
+        )
+    return lam, weights
+
+
+def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectrum]:
+    """Line spectra of the edge states from the two exchange-parity chains.
+
+    Cavity exchange (k <-> N-k) splits the sector into states symmetric and
+    antisymmetric under the mirror, each a tridiagonal chain over the pairs
+    (|N-k, k> +- |k, N-k>)/sqrt(2).  For N = 2M the symmetric chain is
+    ``diag[:M+1]`` with the coupling to the centre state scaled by sqrt(2),
+    and the antisymmetric one ``diag[:M]``; for N = 2M+1 both chains are
+    ``diag[:M+1]``, whose last entry is shifted by ``+- offdiag[M]``.
+
+    A chain eigenvector with first component u gives the full vector the
+    edge components u/sqrt(2) and +-u/sqrt(2), so each chain line carries
+    ``weight00 = u^2/2`` and ``weightN0 = +-u^2/2`` (+ on the symmetric
+    chain).  The squared first components come from eigenvalues alone, via
+    the interlacing product of each chain and the chain without its first
+    row.  Both chains' lines are merged with one degeneracy clustering, as in
+    :func:`spectra_from_eigen`.  Time O(N^2), memory O(N).
+
+    Raises
+    ------
+    NumericalFailureError
+        If an eigensolve fails, or a chain's weights do not sum to one within
+        ``DIAGONAL_SUM_TOL`` because its eigenvalues are too close together to
+        resolve them.
+    """
+    n = h.n_photons
+    m = n // 2
+    # eigenvalue errors scale with the largest entry, so take out the offset
+    # the whole diagonal shares; the interlacing ratios do not depend on it
+    centre = 0.5 * (float(np.min(h.diag)) + float(np.max(h.diag)))
+    d = h.diag - centre
+    e = h.offdiag
+    if n % 2 == 0:
+        sym = (d[:m + 1], np.concatenate([e[:m - 1], [math.sqrt(2.0) * e[m - 1]]]))
+        anti = (d[:m], e[:m - 1])
+    else:
+        sym = (np.concatenate([d[:m], [d[m] + e[m]]]), e[:m])
+        anti = (np.concatenate([d[:m], [d[m] - e[m]]]), e[:m])
+    (lam_sym, w_sym), (lam_anti, w_anti) = _edge_lines(*sym), _edge_lines(*anti)
+    merged_e, (w00, wn0) = merge_degenerate_lines(
+        np.concatenate([lam_sym, lam_anti]) + centre,
+        [np.concatenate([w_sym, w_anti]) / 2, np.concatenate([w_sym, -w_anti]) / 2],
+    )
+    return (
+        LineSpectrum(energies=merged_e, weights=w00, kind="diagonal"),
+        LineSpectrum(energies=merged_e, weights=wn0, kind="offdiagonal"),
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import AmplitudeSeries, LineSpectrum, ModelParams, _readonly
 from .dynamics import evolve
-from .effective import build_sector_hamiltonian, diagonalize, spectra_from_eigen
+from .effective import build_sector_hamiltonian, parity_chain_spectra
 
 __all__ = [
     "JointHistogram",
@@ -150,10 +150,10 @@ def noon_feasibility(
 ) -> NoonFeasibility:
     """Scan the evolved dynamics and summarize N00N-state reachability.
 
-    Evolves the sector eigen-spectra over the window and summarizes it with
-    :func:`score_samples`.
+    Evolves the sector's parity-chain line spectra over the window and
+    summarizes it with :func:`score_samples`.
     """
-    spec00, specn0 = spectra_from_eigen(diagonalize(build_sector_hamiltonian(params)))
+    spec00, specn0 = parity_chain_spectra(build_sector_hamiltonian(params))
     if t_max is None or dt is None:
         auto_tmax, auto_dt = default_sampling_window(params, spec00)
         t_max = auto_tmax if t_max is None else t_max

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, effective, harmonic, jc, rpm
+from . import effective, harmonic, jc, rpm
 from .core import (
     ModelParams,
     amplitude_from_lines,
@@ -316,28 +316,49 @@ def check_dressed_matrix_elements() -> CheckResult:
 
 def check_parity() -> CheckResult:
     """Eigenvectors split into mirror-symmetric and antisymmetric classes,
-    so the cross weights equal the diagonal weights up to sign, line by line."""
+    so the cross weights equal the diagonal weights up to sign, line by line;
+    and the line spectra of the two parity chains match those of the dense
+    eigenvectors, on the small grid plus an odd N and J = 0."""
     worst_vec = 0.0
     worst_line = 0.0
-    for params in _SMALL_GRID:
+    worst_chain = 0.0
+    extra = [
+        ModelParams(n_photons=7, omega0=1.0, g=1.2, j_tun=0.8, sigma=1),
+        ModelParams(n_photons=6, omega0=1.0, g=1.2, j_tun=0.0, sigma=1),
+    ]
+    for params in _SMALL_GRID + extra:
+        h = effective.build_sector_hamiltonian(params)
+        decomp = effective.diagonalize(h)
+        spec00, specn0 = effective.spectra_from_eigen(decomp)
+        chain00, chainn0 = effective.parity_chain_spectra(h)
+        if len(chain00) != len(spec00):
+            worst_chain = math.inf
+        else:
+            worst_chain = max(
+                worst_chain,
+                float(np.max(np.abs(chain00.energies - spec00.energies))),
+                float(np.max(np.abs(chain00.weights - spec00.weights))),
+                float(np.max(np.abs(chainn0.weights - specn0.weights))),
+            )
         if params.j_tun == 0:
+            # degenerate mirror pairs: the vectors need not have a parity
             continue
-        decomp = effective.diagonalize(effective.build_sector_hamiltonian(params))
         v = decomp.vectors
         sym = np.max(np.abs(v - v[::-1, :]), axis=0)
         asym = np.max(np.abs(v + v[::-1, :]), axis=0)
         worst_vec = max(worst_vec, float(np.max(np.minimum(sym, asym))))
-        spec00, specn0 = effective.spectra_from_eigen(decomp)
         diff = np.minimum(
             np.abs(np.real(specn0.weights) - spec00.weights),
             np.abs(np.real(specn0.weights) + spec00.weights),
         )
         worst_line = max(worst_line, float(np.max(diff)))
-    passed = worst_vec <= 1e-10 and worst_line <= 1e-10
+    passed = worst_vec <= 1e-10 and worst_line <= 1e-10 and worst_chain <= 1e-10
     return CheckResult(
         "parity", passed,
-        f"max mirror defect {worst_vec:.3e} in vectors, {worst_line:.3e} in weights",
-        {"max_vector_defect": worst_vec, "max_weight_defect": worst_line},
+        f"max mirror defect {worst_vec:.3e} in vectors, {worst_line:.3e} in weights; "
+        f"parity chains against eigenvectors {worst_chain:.3e}",
+        {"max_vector_defect": worst_vec, "max_weight_defect": worst_line,
+         "max_chain_defect": worst_chain},
     )
 
 

@@ -37,6 +37,8 @@ def test_spectrum_lines_frozen_and_deterministic(tmp_path):
     assert sidecar["command"] == "spectrum"
     assert sidecar["config"]["model"] == "harmonic"
     assert "version" in sidecar
+    assert sidecar["diagnostics"] == {
+        "harmonic": {"lines": 3, "zero_weight_lines": 0, "weight_sum_defect": 0.0}}
 
 
 def test_spectrum_compare_reports_tiny_deviation(tmp_path):
@@ -67,6 +69,11 @@ def test_dynamics_with_first_transfer(tmp_path):
     transfer = json.loads((tmp_path / "first_transfer.json").read_text())
     assert set(transfer["times"]) == {"anharmonic-oracle", "harmonic"}
     assert 0.0 < transfer["times"]["harmonic"] < 10.0
+    diagnostics = json.loads((tmp_path / "dynamics_anharmonic-oracle.json").read_text())[
+        "diagnostics"]
+    assert set(diagnostics) == {"anharmonic-oracle", "harmonic"}
+    assert diagnostics["anharmonic-oracle"]["lines"] == 7
+    assert abs(diagnostics["anharmonic-oracle"]["weight_sum_defect"]) < 1e-12
 
 
 def test_harmonic_spectrum_beyond_n_1023(tmp_path):
@@ -76,6 +83,9 @@ def test_harmonic_spectrum_beyond_n_1023(tmp_path):
     rows = (tmp_path / "spectrum_harmonic.csv").read_text().splitlines()
     assert len(rows) == 2002
     assert sum(float(r.split(",")[1]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-12)
+    # binomial weights below 4.9e-324 round to 0; the sidecar counts them
+    sidecar = json.loads((tmp_path / "spectrum_harmonic.json").read_text())
+    assert sidecar["diagnostics"]["harmonic"]["zero_weight_lines"] == 396
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
@@ -120,6 +130,7 @@ def test_noon_summary_and_histogram(tmp_path):
                             "threshold", "n_samples", "t_max", "dt"}
     assert 0.0 <= summary["max_score"] <= 1.0 + 1e-9
     assert sidecar["metadata"]["axes"] == "moduli"
+    assert sidecar["diagnostics"]["anharmonic-oracle"]["lines"] == 5
 
 
 def test_noon_sweep_writes_one_file_per_n(tmp_path):

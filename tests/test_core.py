@@ -1,13 +1,19 @@
 """Unit tests for the shared spectral-line types and synthesis helpers."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cavity_rpm
 from cavity_rpm.core import (
+    MERGE_RTOL,
     AmplitudeSeries,
     LineSpectrum,
     ModelParams,
@@ -72,6 +78,104 @@ def test_merge_rejects_mismatched_weights():
         merge_degenerate_lines([1.0, 2.0], [[1.0]])
     with pytest.raises(ValueError):
         merge_degenerate_lines([], [[]])
+
+
+def _merge_level_by_level(energies, weight_sets, rtol=MERGE_RTOL):
+    """Reference: the clustering as one loop over the sorted levels."""
+    e = np.asarray(energies, dtype=float)
+    sets = [np.asarray(w) for w in weight_sets]
+    order = np.argsort(e, kind="stable")
+    e = e[order]
+    sets = [w[order] for w in sets]
+    boundaries = [0]
+    for i in range(1, e.size):
+        if e[i] - e[i - 1] > rtol * max(1.0, abs(e[i])):
+            boundaries.append(i)
+    boundaries.append(e.size)
+    merged_e = np.empty(len(boundaries) - 1)
+    merged_sets = [np.empty(len(boundaries) - 1, dtype=w.dtype) for w in sets]
+    for j in range(len(boundaries) - 1):
+        lo, hi = boundaries[j], boundaries[j + 1]
+        merged_e[j] = e[lo:hi].mean()
+        for w, out in zip(sets, merged_sets):
+            out[j] = w[lo:hi].sum()
+    return merged_e, merged_sets
+
+
+def _assert_same_bits(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    for a, b in zip(got[1], want[1], strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from([-3.0, -0.0, 0.0, 1.0, 2.5, 1e9]),
+    st.sampled_from([0.0, 1e-13, -1e-13, 1e-10, 1e-8, 1.0]),
+    st.sampled_from([-0.0, 0.0, 0.5, -0.25, 1e-300]),
+    st.sampled_from([-0.0, 0.0, 1.0, -2.0]),
+), min_size=1, max_size=40))
+@example([(-0.0, 0.0, -0.0, -0.0), (1.0, 0.0, 0.5, 1.0)])
+def test_merge_is_bit_identical_to_the_level_loop(levels):
+    # base alone where the offset is 0, so that -0.0 stays a level
+    energies = np.array([base + offset if offset else base for base, offset, _, _ in levels])
+    real = np.array([w for _, _, w, _ in levels])
+    cross = real * (1 - 2j) + np.array([v for *_, v in levels]) * 1j
+    counts = np.array([int(v) for *_, v in levels])
+    sets = [real, cross, counts]
+    _assert_same_bits(merge_degenerate_lines(energies, sets), _merge_level_by_level(energies, sets))
+
+
+def test_merge_of_one_cluster_is_bit_identical_to_the_level_loop():
+    # J = 0, g = 0: every level of the sector forms one cluster
+    rng = np.random.default_rng(3)
+    energies = np.full(51, 50.0) + rng.uniform(-1e-12, 1e-12, 51)
+    sets = [rng.uniform(0, 1, 51), rng.uniform(-1, 1, 51) + 0j]
+    got = merge_degenerate_lines(energies, sets)
+    assert got[0].size == 1
+    _assert_same_bits(got, _merge_level_by_level(energies, sets))
+
+
+_BROADENING_PROBE = """
+import numpy as np
+from cavity_rpm.core import LineSpectrum, smoothed_density
+
+rng = np.random.default_rng(5)
+eps = 0.01
+# line counts giving blocks of 648, 64 and 4 rows; point counts one past a
+# multiple of the block, and others
+for points, lines in ((1, 3), (17, 5), (1297, 101), (2000, 101), (1985, 1001),
+                      (2001, 1001), (333, 10001), (334, 10001)):
+    energies = np.sort(rng.uniform(-50, 50, lines)) + 1e-3 * np.arange(lines)
+    weights = rng.uniform(0, 1, lines)
+    grid = np.linspace(-60, 60, points)
+    for spec in (
+        LineSpectrum(energies, weights / weights.sum(), "diagonal"),
+        LineSpectrum(energies, rng.uniform(-1, 1, lines) + 1j * rng.uniform(-1, 1, lines),
+                     "offdiagonal"),
+    ):
+        lorentz = eps / (eps**2 + (grid[:, None] - spec.energies[None, :]) ** 2)
+        direct = lorentz @ spec.weights / np.pi
+        if spec.kind == "diagonal":
+            direct = np.real(direct)
+        got = smoothed_density(spec, grid, eps)
+        assert got.dtype == direct.dtype, (points, lines, spec.kind)
+        assert got.tobytes() == direct.tobytes(), (points, lines, spec.kind)
+print("identical")
+"""
+
+
+def test_blocked_broadening_is_bit_identical_to_one_product():
+    # one BLAS thread: with several, OpenBLAS splits a large product between
+    # threads at row boundaries of its own, so even the one product's last
+    # bits depend on the thread count
+    src = str(Path(cavity_rpm.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    probe = subprocess.run([sys.executable, "-c", _BROADENING_PROBE], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "identical"
 
 
 def test_line_spectrum_invariants():

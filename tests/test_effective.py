@@ -1,15 +1,19 @@
 """Sector Hamiltonian assembly and exact diagonalization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavity_rpm.core import ModelParams
+from cavity_rpm.core import ModelParams, NumericalFailureError, merge_degenerate_lines
 from cavity_rpm.effective import (
     SectorHamiltonian,
     build_sector_hamiltonian,
     diagonalize,
+    parity_chain_spectra,
     spectra_from_eigen,
 )
 from cavity_rpm.harmonic import harmonic_line_spectra
@@ -136,3 +140,91 @@ def test_fully_degenerate_sector_gives_single_line():
     assert len(spec00) == 1
     assert spec00.weights[0] == pytest.approx(1.0)
     assert abs(specn0.weights[0]) < 1e-14
+
+
+def _assert_chains_match_oracle(h):
+    """Parity-chain lines against the dense eigenvectors' lines.
+
+    Energies agree to 1e-12 of the matrix scale.  Weights agree to 1e-12
+    plus the error of the oracle itself: a dense eigenvector is off by about
+    eps * scale / gap from its neighbours, which near a parity doublet is far
+    above 1e-12 (see test_chains_resolve_doublets_the_dense_vectors_mix).
+    """
+    oracle00, oraclen0 = spectra_from_eigen(diagonalize(h))
+    chain00, chainn0 = parity_chain_spectra(h)
+    assert len(chain00) == len(oracle00)
+    scale = 1.0 + np.max(np.abs(h.diag)) + 2.0 * np.max(np.abs(h.offdiag), initial=0.0)
+    np.testing.assert_allclose(chain00.energies, oracle00.energies, rtol=0, atol=1e-12 * scale)
+    e = oracle00.energies
+    gap = np.minimum(np.diff(e, prepend=-np.inf), np.diff(e, append=np.inf))
+    tol = 1e-12 + np.finfo(float).eps * scale / gap
+    assert np.all(np.abs(chain00.weights - oracle00.weights) <= tol)
+    assert np.all(np.abs(chainn0.weights - oraclen0.weights) <= tol)
+    return chain00, chainn0
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 400),
+    g=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    j=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    sigma=st.sampled_from([1, -1]),
+    omega0=st.sampled_from([0.0, 1.0]),
+)
+def test_parity_chains_match_dense_eigenvectors(n, g, j, sigma, omega0):
+    params = ModelParams(n_photons=n, omega0=omega0, g=g, j_tun=j, sigma=sigma)
+    _assert_chains_match_oracle(build_sector_hamiltonian(params))
+
+
+@pytest.mark.parametrize("n,g,j", [
+    (1, 1.2, 0.8), (2, 1.2, 0.8), (1, 0.0, 0.7), (2, 0.0, 0.0), (3, 1.2, 0.0),
+    (10, 0.0, 0.0), (10, 1.2, 0.0), (11, 1.2, 0.0),
+])
+def test_parity_chains_small_and_decoupled_cases(n, g, j):
+    params = ModelParams(n_photons=n, omega0=1.0, g=g, j_tun=j)
+    chain00, chainn0 = _assert_chains_match_oracle(build_sector_hamiltonian(params))
+    if j == 0:
+        # the edge state is an eigenvector: all weight on one line, none across
+        assert np.count_nonzero(chain00.weights) == 1
+        np.testing.assert_array_equal(chainn0.weights, 0)
+
+
+def test_parity_chains_resolve_doublets_the_dense_vectors_mix():
+    """Near a parity doublet the dense eigenvectors mix the two parities by
+    eps * scale / gap; the chains keep them apart and match 40-digit
+    arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    params = ModelParams(n_photons=18, omega0=0.0, g=-0.2, j_tun=0.03, sigma=1)
+    h = build_sector_hamiltonian(params)
+    with mpmath.workdps(40):
+        a = mpmath.matrix(h.dense().tolist())
+        energies, vectors = mpmath.eigsy(a)
+        exact00 = [float(vectors[0, k] ** 2) for k in range(h.n_photons + 1)]
+        exact_e = [float(x) for x in energies]
+    _, (exact,) = merge_degenerate_lines(exact_e, [exact00])
+    chain00, _ = parity_chain_spectra(h)
+    oracle00, _ = spectra_from_eigen(diagonalize(h))
+    assert np.max(np.abs(chain00.weights - exact)) < 1e-14
+    assert np.max(np.abs(oracle00.weights - exact)) > 1e-10
+
+
+def test_parity_chains_unresolvable_weights_raise_numerical_failure():
+    # the chain's last two states are coupled below rounding: its eigenvalues
+    # coincide and the interlacing product reads 0/0
+    h = SectorHamiltonian(n_photons=4, diag=[0.0, 1.0, 1.0, 1.0, 0.0],
+                          offdiag=[1e-9, 1e-300, 1e-300, 1e-9])
+    with pytest.raises(NumericalFailureError, match="parity-chain"):
+        parity_chain_spectra(h)
+
+
+def test_parity_chains_run_in_linear_memory():
+    params = ModelParams(n_photons=10_000, omega0=1.0, g=1.2, j_tun=0.8)
+    h = build_sector_hamiltonian(params)
+    tracemalloc.start()
+    try:
+        spec00, _ = parity_chain_spectra(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spec00) == 10_001
+    assert peak < 64e6
