@@ -54,6 +54,10 @@ DEFAULTS = {
 }
 
 
+# rows of a CSV file converted to Python floats at once
+_CSV_ROWS = 1024
+
+
 class ConfigError(Exception):
     pass
 
@@ -101,17 +105,16 @@ def _params(cfg: dict) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]):
     header = ",".join(name for name, _ in columns)
-    rows = zip(*(np.atleast_1d(col) for _, col in columns))
+    arrays = [np.asarray(col, dtype=float) for _, col in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # Python floats format faster than NumPy scalars, to the same text;
+        # converting a block of rows at a time keeps few of them alive
+        for lo in range(0, arrays[0].size, _CSV_ROWS):
+            for row in zip(*(a[lo:lo + _CSV_ROWS].tolist() for a in arrays)):
+                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def _write_json(path: Path, payload: dict):
@@ -149,6 +152,14 @@ def _diagnostics(spec00) -> dict:
         "zero_weight_lines": int(np.count_nonzero(spec00.weights == 0)),
         "weight_sum_defect": float(np.sum(spec00.weights)) - 1.0,
     }
+
+
+def _density_diagnostics(rhon0) -> dict:
+    """Deterministic figures of a recursion density, for the sidecars: the grid
+    points where the written ``rhoN0`` is exactly 0, the cross element
+    ``b`` of the pair recursion having underflowed there."""
+    zeros = rhon0.size - np.count_nonzero(rhon0)
+    return {"points": int(rhon0.size), "zero_cross_points": int(zeros)}
 
 
 def _default_energy_grid(model: str, params: ModelParams, epsilon: float, points: int):
@@ -287,8 +298,10 @@ def spectrum(config_path, out, compare, **flag_values):
                 "linf_rhoN0": float(np.max(np.abs(rn0 - on0))),
                 "grid_points": int(grid.size),
             }
-            _write_json(csv_path.with_suffix(".json"),
-                        _sidecar("spectrum", cfg, {"compare": report}))
+            _write_json(csv_path.with_suffix(".json"), _sidecar("spectrum", cfg, {
+                "compare": report,
+                "diagnostics": {"anharmonic-rpm": _density_diagnostics(rn0)},
+            }))
             click.echo(f"wrote {csv_path}")
             return
         extra = None
@@ -308,6 +321,8 @@ def spectrum(config_path, out, compare, **flag_values):
             _write_csv(csv_path, [
                 ("energy", grid), ("rho00", rho00), ("rhoN0", rhon0),
             ])
+            if cfg["model"] == "anharmonic-rpm":
+                extra = {"diagnostics": {"anharmonic-rpm": _density_diagnostics(rhon0)}}
         _write_json(csv_path.with_suffix(".json"), _sidecar("spectrum", cfg, extra))
         click.echo(f"wrote {csv_path}")
 

@@ -280,8 +280,51 @@ def _two_product(a: float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     product = a * b
     a_hi, a_lo = split(np.float64(a))
     b_hi, b_lo = split(b)
-    error = ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # ((a_hi b_hi - product) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, in this order,
+    # summed in place to keep full-length temporaries few
+    error = a_hi * b_hi
+    error -= product
+    error += a_hi * b_lo
+    error += a_lo * b_hi
+    error += a_lo * b_lo
     return product, error
+
+
+def _block_sums(energies: np.ndarray, weights: np.ndarray, times, centre: float) -> np.ndarray:
+    """``sum_j w_j exp(-i (E_j - c) t)`` on a uniform grid: the block synthesis
+    of :func:`amplitude_from_lines` without the common phase ``exp(-i c t)``.
+
+    Takes any number of lines, none included (the sums are then zero).
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("times must be a non-empty 1-d array")
+    n = t.size
+    step = float(t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
+    offsets = np.arange(n) * step
+    shifted = energies - centre
+    # a departure from the uniform grid moves a phase by up to reach * departure;
+    # allow no more than rounding the phases costs anyway
+    reach = float(np.max(np.abs(shifted), initial=0.0))
+    departure = float(np.max(np.abs(t - (t[0] + offsets))))
+    largest = max(abs(float(t[0])), abs(float(t[-1])))
+    if reach * departure > 16 * np.finfo(float).eps * (reach * largest + 1.0):
+        raise ValueError("time grid must be uniform to rounding")
+    block = math.ceil(math.sqrt(n))
+    table = np.exp(-1j * np.outer(offsets[:block], shifted))
+    phasors = weights * np.exp(-1j * np.outer(t[::block], shifted))
+    values = np.empty(n, dtype=complex)
+    for start, phasor in zip(range(0, n, block), phasors):
+        stop = min(start + block, n)
+        values[start:stop] = table[:stop - start] @ phasor
+    return values
+
+
+def _common_phase(centre: float, times: np.ndarray) -> np.ndarray:
+    """``exp(-i c t)`` with ``c t`` carried to twice working precision."""
+    phase, error = _two_product(centre, times)
+    # |error| <= ulp(c t) / 2, so exp(-i error) = 1 - i error to within eps^2
+    return np.exp(-1j * phase) * (1.0 - 1j * error)
 
 
 def amplitude_from_lines(spec: LineSpectrum, times) -> AmplitudeSeries:
@@ -311,30 +354,9 @@ def amplitude_from_lines(spec: LineSpectrum, times) -> AmplitudeSeries:
         by over ``16 eps (max|E_j - c| max|t| + 1)``.
     """
     t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("times must be a non-empty 1-d array")
-    n = t.size
-    step = float(t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
-    offsets = np.arange(n) * step
     centre = 0.5 * (spec.energies[0] + spec.energies[-1])
-    shifted = spec.energies - centre
-    # a departure from the uniform grid moves a phase by up to reach * departure;
-    # allow no more than rounding the phases costs anyway
-    reach = float(np.max(np.abs(shifted)))
-    departure = float(np.max(np.abs(t - (t[0] + offsets))))
-    largest = max(abs(float(t[0])), abs(float(t[-1])))
-    if reach * departure > 16 * np.finfo(float).eps * (reach * largest + 1.0):
-        raise ValueError("time grid must be uniform to rounding")
-    block = math.ceil(math.sqrt(n))
-    table = np.exp(-1j * np.outer(offsets[:block], shifted))
-    phasors = spec.weights * np.exp(-1j * np.outer(t[::block], shifted))
-    values = np.empty(n, dtype=complex)
-    for start, phasor in zip(range(0, n, block), phasors):
-        stop = min(start + block, n)
-        values[start:stop] = table[:stop - start] @ phasor
-    phase, error = _two_product(centre, t)
-    # |error| <= ulp(c t) / 2, so exp(-i error) = 1 - i error to within eps^2
-    values *= np.exp(-1j * phase) * (1.0 - 1j * error)
+    values = _block_sums(spec.energies, spec.weights, t, centre)
+    values *= _common_phase(centre, t)
     return AmplitudeSeries(times=t, values=values)
 
 

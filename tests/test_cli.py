@@ -50,6 +50,25 @@ def test_spectrum_compare_reports_tiny_deviation(tmp_path):
     assert report["compare"]["linf_rhoN0"] < 1e-9
     header = (tmp_path / "spectrum_compare.csv").read_text().splitlines()[0]
     assert header == "energy,rho00_rpm,rhoN0_rpm,rho00_oracle,rhoN0_oracle"
+    assert report["diagnostics"] == {
+        "anharmonic-rpm": {"points": 2000, "zero_cross_points": 0}}
+
+
+def test_rpm_density_counts_underflowed_cross_points(tmp_path):
+    """At N=3000 the recursion's b underflows to 0 across the spectrum's
+    tails; the sidecar counts the written rhoN0 zeros."""
+    config = tmp_path / "points.json"
+    config.write_text(json.dumps({"points": 401}))
+    result = invoke("spectrum", "--config", config, "--model", "anharmonic-rpm",
+                    "--N", 3000, "--g", 1.2, "--J", 0.8, "--epsilon", 0.01,
+                    "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "spectrum_anharmonic-rpm.csv").read_text().splitlines()[1:]
+    zeros = sum(float(row.split(",")[2]) == 0 for row in rows)
+    sidecar = json.loads((tmp_path / "spectrum_anharmonic-rpm.json").read_text())
+    assert zeros > 0
+    assert sidecar["diagnostics"] == {
+        "anharmonic-rpm": {"points": 401, "zero_cross_points": zeros}}
 
 
 def test_spectrum_rpm_requires_epsilon(tmp_path):
