@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -162,9 +163,9 @@ def _density_diagnostics(rhon0) -> dict:
     return {"points": int(rhon0.size), "zero_cross_points": int(zeros)}
 
 
-def _default_energy_grid(model: str, params: ModelParams, epsilon: float, points: int):
+def _default_energy_bounds(model: str, params: ModelParams, epsilon: float):
     if model == "jc":
-        spec00, _ = jc.rabi_line_spectra(params, params.n_photons)
+        spec00, _ = _line_spectra(model, params)
         lo, hi = float(spec00.energies[0]), float(spec00.energies[-1])
     else:
         h = effective.build_sector_hamiltonian(params)
@@ -172,7 +173,7 @@ def _default_energy_grid(model: str, params: ModelParams, epsilon: float, points
         lo = float(np.min(h.diag)) - reach
         hi = float(np.max(h.diag)) + reach
     pad = max(1.0, 5.0 * epsilon)
-    return np.linspace(lo - pad, hi + pad, points)
+    return lo - pad, hi + pad
 
 
 def _energy_grid(cfg: dict, params: ModelParams) -> np.ndarray:
@@ -186,8 +187,11 @@ def _energy_grid(cfg: dict, params: ModelParams) -> np.ndarray:
         lo, hi = float(bounds[0]), float(bounds[1])
         if not hi > lo:
             raise ConfigError(f"grid upper bound must exceed lower bound, got {bounds}")
-        return np.linspace(lo, hi, points)
-    return _default_energy_grid(cfg["model"], params, cfg["epsilon"], points)
+    else:
+        lo, hi = _default_energy_bounds(cfg["model"], params, cfg["epsilon"])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid bounds must be finite, got [{lo}, {hi}]")
+    return np.linspace(lo, hi, points)
 
 
 def _smoothed_pair(model: str, params: ModelParams, grid: np.ndarray, epsilon: float):
@@ -215,10 +219,10 @@ def _common_options(f):
                      help="Output directory (created if missing)."),
         click.option("--model", default=None, type=str,
                      help="jc | harmonic | anharmonic-rpm | anharmonic-oracle"),
-        click.option("--N", "n_photons", default=None, type=int,
+        click.option("--N", "N", default=None, type=int,
                      help="Total photon number."),
         click.option("--g", default=None, type=float, help="Atom-photon coupling."),
-        click.option("--J", "j_tun", default=None, type=float, help="Tunneling rate."),
+        click.option("--J", "J", default=None, type=float, help="Tunneling rate."),
         click.option("--omega0", default=None, type=float, help="Cavity frequency."),
         click.option("--sigma", default=None, type=int, help="Dressed branch, +1 or -1."),
         click.option("--epsilon", default=None, type=float,
@@ -232,22 +236,7 @@ def _common_options(f):
     return f
 
 
-def _overrides(model, n_photons, g, j_tun, omega0, sigma, epsilon, tmax, dt, bins):
-    return {
-        "model": model,
-        "N": n_photons,
-        "g": g,
-        "J": j_tun,
-        "omega0": omega0,
-        "sigma": sigma,
-        "epsilon": epsilon,
-        "tmax": tmax,
-        "dt": dt,
-        "bins": bins,
-    }
-
-
-def _fail(exc: Exception, code: int):
+def _fail(exc: Exception | str, code: int):
     click.echo(f"error: {exc}", err=True)
     sys.exit(code)
 
@@ -259,6 +248,8 @@ def _guarded(fn):
         _fail(exc, 2)
     except NumericalFailureError as exc:
         _fail(exc, 3)
+    except OverflowError as exc:
+        _fail(f"float overflow: {exc}", 3)
     except ValueError as exc:
         _fail(exc, 2)
 
@@ -278,7 +269,7 @@ def spectrum(config_path, out, compare, **flag_values):
     """Write line spectra or broadened densities of the edge states."""
 
     def run():
-        cfg = _resolve(config_path, _overrides(**flag_values))
+        cfg = _resolve(config_path, flag_values)
         params = _params(cfg)
         out_path = _out_dir(out)
         if compare:
@@ -347,7 +338,7 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
     """Write return and transition amplitude time series."""
 
     def run():
-        cfg = _resolve(config_path, _overrides(**flag_values))
+        cfg = _resolve(config_path, flag_values)
         params = _params(cfg)
         if cfg["model"] == "anharmonic-rpm":
             raise ConfigError(
@@ -441,7 +432,7 @@ def noon(config_path, out, **flag_values):
     """Histogram joint edge-state amplitudes and score N00N reachability."""
 
     def run():
-        cfg = _resolve(config_path, _overrides(**flag_values))
+        cfg = _resolve(config_path, flag_values)
         out_path = _out_dir(out)
         sweep = cfg["sweep_n"]
         if sweep is None:
@@ -466,7 +457,7 @@ def validate(config_path, out, **flag_values):
     """Run the named cross-check suite and write a pass/fail report."""
 
     def run():
-        cfg = _resolve(config_path, _overrides(**flag_values))
+        cfg = _resolve(config_path, flag_values)
         out_path = _out_dir(out)
         names = cfg["checks"]
         if names is not None:

@@ -16,6 +16,7 @@ signed or complex weights.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,6 +92,10 @@ class ModelParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        for name in ("n_photons", "omega0", "g", "j_tun", "delta"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if int(self.n_photons) != self.n_photons or self.n_photons < 1:
             raise ValueError(f"n_photons must be an integer >= 1, got {self.n_photons}")
         if self.sigma not in (1, -1):
@@ -183,12 +188,11 @@ class AmplitudeSeries:
 def merge_degenerate_lines(
     energies: Sequence[float],
     weight_sets: Sequence[Sequence[complex]],
-    rtol: float = MERGE_RTOL,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Cluster near-degenerate energies and sum weights within each cluster.
 
-    Energies whose consecutive gaps fall below ``rtol * max(1, |E|)`` are
-    treated as one level.  Every weight set is clustered with the same
+    Energies whose consecutive gaps fall below ``MERGE_RTOL * max(1, |E|)``
+    are treated as one level.  Every weight set is clustered with the same
     partition, so spectra sharing an eigenbasis keep matching line counts.
     The merged energy is the arithmetic mean of the cluster members.
 
@@ -198,8 +202,6 @@ def merge_degenerate_lines(
         Level positions, in any order.
     weight_sets : sequence of weight sequences
         One or more weight arrays aligned with ``energies``.
-    rtol : float
-        Relative degeneracy threshold.
 
     Returns
     -------
@@ -219,7 +221,7 @@ def merge_degenerate_lines(
     e = e[order]
     sets = [w[order] for w in sets]
 
-    starts = np.flatnonzero(np.diff(e) > rtol * np.maximum(1.0, np.abs(e[1:]))) + 1
+    starts = np.flatnonzero(np.diff(e) > MERGE_RTOL * np.maximum(1.0, np.abs(e[1:]))) + 1
     boundaries = np.concatenate([[0], starts, [e.size]])
     # a level alone keeps its values, with -0.0 made 0.0 (+ 0) as a NumPy
     # mean or sum of one term makes it; only clusters of several levels take
@@ -246,10 +248,10 @@ def smoothed_density(spec: LineSpectrum, energies, epsilon: float):
     energies : array_like
         Evaluation grid, non-empty.
     epsilon : float
-        Broadening width, must be positive.
+        Broadening width, must be positive and finite.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     grid = np.asarray(energies, dtype=float)
     if grid.size == 0:
         raise ValueError("energy grid must be non-empty")

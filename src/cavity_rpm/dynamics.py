@@ -40,6 +40,8 @@ def evolve(
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     if t_max < dt:
         raise ValueError(f"t_max must be at least dt, got t_max={t_max}, dt={dt}")
     energies = spec00.energies

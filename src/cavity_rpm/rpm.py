@@ -157,8 +157,8 @@ def rpm_spectra(params: ModelParams, energies, epsilon: float):
     Evaluates the resolvent at ``z = E - i epsilon`` over the grid and
     returns ``((1/pi) Im a, (1/pi) Im b)`` as real arrays.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     grid = np.asarray(energies, dtype=float)
     if grid.size == 0:
         raise ValueError("energy grid must be non-empty")

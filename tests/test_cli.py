@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import cavity_rpm
 from cavity_rpm import validation
-from cavity_rpm.cli import main
+from cavity_rpm.cli import DEFAULTS, main
 from cavity_rpm.validation import CheckResult
 
 
@@ -172,6 +172,49 @@ def test_flags_override_config_file(tmp_path):
     sidecar = json.loads((tmp_path / "spectrum_harmonic.json").read_text())
     assert sidecar["config"]["J"] == 1.0
     assert sidecar["config"]["N"] == 2
+
+
+def test_every_common_flag_reaches_its_config_key(tmp_path):
+    flags = {"N": 4, "g": 0.3, "J": 0.5, "omega0": 2.0, "sigma": -1,
+             "epsilon": 0.05, "tmax": 7.0, "dt": 0.02, "bins": 12}
+    args = [arg for key, value in flags.items() for arg in (f"--{key}", value)]
+    result = invoke("spectrum", "--model", "harmonic", *args, "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    config = json.loads((tmp_path / "spectrum_harmonic.json").read_text())["config"]
+    assert set(config) == set(DEFAULTS)
+    assert config["model"] == "harmonic"
+    assert {key: config[key] for key in flags} == flags
+
+
+@pytest.mark.parametrize("args, config, code", [
+    (("spectrum", "--model", "harmonic", "--N", 10, "--J", "nan"), None, 2),
+    (("spectrum", "--model", "anharmonic-rpm", "--N", 10, "--J", "inf",
+      "--epsilon", 0.01), None, 2),
+    (("spectrum", "--model", "anharmonic-rpm", "--N", 10, "--epsilon", "inf"), None, 2),
+    (("spectrum", "--model", "anharmonic-rpm", "--N", 10, "--epsilon", 1e308), None, 2),
+    (("spectrum", "--model", "anharmonic-rpm", "--N", 10, "--epsilon", 0.01),
+     '{"grid": [0, 1e999], "points": 5}', 2),
+    (("dynamics", "--model", "harmonic", "--N", 10, "--tmax", "inf"), None, 2),
+    (("noon", "--model", "harmonic", "--N", 4, "--tmax", "inf"), None, 2),
+    (("spectrum", "--model", "anharmonic-oracle", "--N", 10, "--epsilon", 1e308), None, 2),
+    # finite bounds, but epsilon**2 overflows in the broadening
+    (("spectrum", "--model", "anharmonic-oracle", "--N", 10, "--epsilon", 1e200), None, 3),
+    (("spectrum",), '{"g": "x"}', 2),
+], ids=[
+    "harmonic-J-nan", "rpm-J-inf", "rpm-epsilon-inf", "rpm-epsilon-1e308",
+    "grid-1e999", "dynamics-tmax-inf", "noon-tmax-inf",
+    "oracle-epsilon-1e308", "oracle-epsilon-overflow", "config-g-string",
+])
+def test_bad_numeric_input_exits_without_csv(tmp_path, args, config, code):
+    extra = ()
+    if config is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(config)
+        extra = ("--config", path)
+    out = tmp_path / "out"
+    result = invoke(*args, *extra, "--out", out)
+    assert result.exit_code == code, result.output
+    assert list(out.glob("*.csv")) == []
 
 
 def test_malformed_config_reports_line(tmp_path):

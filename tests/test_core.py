@@ -1,6 +1,7 @@
 """Unit tests for the shared spectral-line types and synthesis helpers."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +34,10 @@ def test_model_params_validation():
         ModelParams(n_photons=4, sigma=2)
     with pytest.raises(ValueError):
         ModelParams(n_photons=4, j_tun=-0.1)
+    for field in ("n_photons", "omega0", "g", "j_tun", "delta"):
+        for bad in (math.nan, math.inf, -math.inf, "x", None):
+            with pytest.raises(ValueError, match=field):
+                ModelParams(**{"n_photons": 4, field: bad})
 
 
 def test_model_params_frozen():
@@ -207,8 +212,9 @@ def test_smoothed_density_single_lorentzian():
     assert rho[np.argmin(np.abs(grid - 2.0))] == pytest.approx(1.0 / (np.pi * eps))
     # the tails integrate to nearly unit mass
     assert np.trapezoid(rho, grid) == pytest.approx(1.0, abs=1e-3)
-    with pytest.raises(ValueError):
-        smoothed_density(spec, grid, 0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            smoothed_density(spec, grid, bad)
     with pytest.raises(ValueError):
         smoothed_density(spec, [], eps)
 

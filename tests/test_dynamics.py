@@ -77,6 +77,9 @@ def test_evolve_input_validation():
         evolve(spec00, specn0, 5.0, 0.0)
     with pytest.raises(ValueError):
         evolve(spec00, specn0, 0.005, 0.01)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            evolve(spec00, specn0, bad, 0.01)
     other = LineSpectrum(energies=[0.0], weights=[1.0], kind="offdiagonal")
     with pytest.raises(ValueError, match="line counts"):
         evolve(spec00, other, 5.0, 0.01)

@@ -199,7 +199,8 @@ def test_harmonic_limit_matches_closed_lines():
 
 def test_spectra_input_validation():
     params = ModelParams(n_photons=2, j_tun=0.5)
-    with pytest.raises(ValueError):
-        rpm_spectra(params, [0.0, 1.0], 0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            rpm_spectra(params, [0.0, 1.0], bad)
     with pytest.raises(ValueError):
         rpm_spectra(params, [], 0.01)
