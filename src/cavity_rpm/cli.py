@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -55,6 +56,18 @@ DEFAULTS = {
 }
 
 
+# what each config key holds: a number, an integral number, a string, or (a
+# one-element tuple) a list of these; where the default is None, also null
+_KINDS = {
+    "model": str, "N": int, "g": float, "J": float, "omega0": float, "sigma": int,
+    "delta": float, "epsilon": float, "tmax": float, "dt": float, "bins": int,
+    "points": int, "grid": (float,), "noon_threshold": float,
+    "transfer_threshold": float, "checks": (str,), "sweep_n": (int,),
+}
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string",
+               (float,): "a list of numbers", (int,): "a list of integers",
+               (str,): "a list of strings"}
+
 # rows of a CSV file converted to Python floats at once
 _CSV_ROWS = 1024
 
@@ -81,12 +94,25 @@ def _load_config(path: str | None) -> dict:
     return loaded
 
 
+def _has_kind(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return isinstance(value, list) and all(_has_kind(v, kind[0]) for v in value)
+    if kind is str:
+        return isinstance(value, str)
+    # JSON true and false are not numbers
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return number and (kind is float or isinstance(value, int) or float(value).is_integer())
+
+
 def _resolve(config_path: str | None, overrides: dict) -> dict:
     cfg = dict(DEFAULTS)
     cfg.update(_load_config(config_path))
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
+    for key, value in cfg.items():
+        if not (value is None and DEFAULTS[key] is None or _has_kind(value, _KINDS[key])):
+            raise ConfigError(f"{key} must be {_KIND_NAMES[_KINDS[key]]}, got {value!r}")
     if cfg["model"] not in MODELS:
         raise ConfigError(f"model must be one of {', '.join(MODELS)}, got {cfg['model']!r}")
     return cfg
@@ -182,7 +208,7 @@ def _energy_grid(cfg: dict, params: ModelParams) -> np.ndarray:
         raise ConfigError(f"points must be >= 2, got {points}")
     if cfg["grid"] is not None:
         bounds = cfg["grid"]
-        if (not isinstance(bounds, (list, tuple))) or len(bounds) != 2:
+        if len(bounds) != 2:
             raise ConfigError("grid must be a [min, max] pair")
         lo, hi = float(bounds[0]), float(bounds[1])
         if not hi > lo:
@@ -351,6 +377,8 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
         dt = dt_default if cfg["dt"] is None else float(cfg["dt"])
         if t_max < 0:
             raise ConfigError(f"tmax must be >= 0, got {t_max}")
+        if first_transfer and t_max == 0:
+            raise ConfigError("first-transfer needs a non-empty time window")
         models = [cfg["model"]]
         if compare and cfg["model"] != "harmonic":
             models.append("harmonic")
@@ -361,8 +389,6 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
         if t_max == 0:
             names = ["t"] + [prefixes[m] + c for m in models for c in AMPLITUDE_SUFFIXES]
             _write_csv(csv_path, [(name, ()) for name in names])
-            if first_transfer:
-                raise ConfigError("first-transfer needs a non-empty time window")
         else:
             columns: list[tuple[str, np.ndarray]] = []
             for model in models:
@@ -375,7 +401,7 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
                 transfer[model] = first_transfer_time(tra, cfg["transfer_threshold"])
             _write_csv(csv_path, columns)
         extra = {"t_max": t_max, "dt": dt, "diagnostics": diagnostics}
-        if first_transfer and t_max > 0:
+        if first_transfer:
             transfer_path = out_path / "first_transfer.json"
             _write_json(transfer_path, {
                 "threshold": cfg["transfer_threshold"],
@@ -440,7 +466,7 @@ def noon(config_path, out, **flag_values):
             csv_path = _write_noon(out_path, cfg, "", *_noon_single(cfg, params))
             click.echo(f"wrote {csv_path}")
             return
-        if not isinstance(sweep, (list, tuple)) or not sweep:
+        if not sweep:
             raise ConfigError("sweep_n must be a non-empty list of photon numbers")
         cfgs = [{**cfg, "N": int(n), "sweep_n": None} for n in sweep]
         results = [_noon_single(c, _params(c)) for c in cfgs]
@@ -461,9 +487,8 @@ def validate(config_path, out, **flag_values):
         out_path = _out_dir(out)
         names = cfg["checks"]
         if names is not None:
-            if not isinstance(names, (list, tuple)) or not names:
+            if not names:
                 raise ConfigError("checks must be a non-empty list of check names")
-            names = [str(n) for n in names]
         try:
             report = run_checks(names)
         except ValueError as exc:

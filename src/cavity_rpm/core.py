@@ -102,6 +102,8 @@ class ModelParams:
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma}")
         if self.j_tun < 0:
             raise ValueError(f"j_tun must be >= 0, got {self.j_tun}")
+        # an integral float (a JSON 4.0) sizes and slices arrays as an int
+        object.__setattr__(self, "n_photons", int(self.n_photons))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -174,12 +176,6 @@ class AmplitudeSeries:
             raise ValueError("amplitudes of normalized states cannot exceed modulus 1")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-
-    @property
-    def dt(self) -> float:
-        if self.times.size < 2:
-            return 0.0
-        return float(self.times[1] - self.times[0])
 
     def __len__(self) -> int:
         return int(self.times.size)

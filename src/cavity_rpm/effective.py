@@ -38,7 +38,6 @@ __all__ = [
     "parity_chain_spectra",
 ]
 
-SIGN_PIVOT_TOL = 1e-12
 # ratios of the interlacing product evaluated at once: a few 256 kB arrays
 _RATIO_BLOCK = 2**15
 
@@ -111,10 +110,7 @@ def build_sector_hamiltonian(params: ModelParams) -> SectorHamiltonian:
 def diagonalize(h: SectorHamiltonian) -> EigenDecomposition:
     """Full eigen-decomposition of the sector matrix.
 
-    Eigenvalues come back ascending.  Each eigenvector is normalized with a
-    deterministic sign: its first component of magnitude above
-    ``SIGN_PIVOT_TOL`` is made positive, so spectral weights built from the
-    vectors are reproducible.
+    Eigenvalues ascending, orthonormal eigenvectors as the solver returns them.
 
     Raises
     ------
@@ -129,12 +125,6 @@ def diagonalize(h: SectorHamiltonian) -> EigenDecomposition:
         energies, vectors = scipy.linalg.eigh_tridiagonal(h.diag, h.offdiag)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
-    vectors = np.array(vectors)
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        pivots = np.nonzero(np.abs(col) > SIGN_PIVOT_TOL)[0]
-        if pivots.size and col[pivots[0]] < 0:
-            vectors[:, j] = -col
     return EigenDecomposition(energies=energies, vectors=vectors)
 
 

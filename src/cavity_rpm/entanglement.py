@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AmplitudeSeries, LineSpectrum, ModelParams, _readonly
+from .core import AMPLITUDE_BOUND_TOL, AmplitudeSeries, LineSpectrum, ModelParams, _readonly
 from .dynamics import evolve
 from .effective import build_sector_hamiltonian, parity_chain_spectra
 
@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 HISTOGRAM_SUM_TOL = 1e-12
-SCORE_INPUT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def noon_score(return_amp, transition_amp):
     """
     c0 = np.abs(return_amp)
     cn = np.abs(transition_amp)
-    if np.max(c0) > 1.0 + SCORE_INPUT_TOL or np.max(cn) > 1.0 + SCORE_INPUT_TOL:
+    if np.max(c0) > 1.0 + AMPLITUDE_BOUND_TOL or np.max(cn) > 1.0 + AMPLITUDE_BOUND_TOL:
         raise ValueError("amplitude moduli of normalized states cannot exceed 1")
     return (c0 + cn) ** 2 / 2.0
 

@@ -7,8 +7,6 @@ amplitudes are powers of sine and cosine.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
@@ -19,21 +17,12 @@ from .core import (
     merge_degenerate_lines,
 )
 
-__all__ = ["harmonic_overlap", "harmonic_line_spectra", "harmonic_amplitudes"]
+__all__ = ["harmonic_line_spectra", "harmonic_amplitudes"]
 
 
 def _require_even(n: int):
     if n % 2 != 0:
         raise UnsupportedModelError(f"closed forms assume an even photon number, got N={n}")
-
-
-def harmonic_overlap(n_photons: int, k: int) -> float:
-    """Overlap of the k-th tunneling eigenstate with the edge state: sqrt(C(N,k) / 2^N)."""
-    if n_photons < 0:
-        raise ValueError(f"photon number must be >= 0, got {n_photons}")
-    if not 0 <= k <= n_photons:
-        raise ValueError(f"k must lie in 0..{n_photons}, got {k}")
-    return math.sqrt(math.comb(n_photons, k) / (1 << n_photons))
 
 
 def harmonic_line_spectra(params: ModelParams) -> tuple[LineSpectrum, LineSpectrum]:

@@ -1,6 +1,6 @@
 """Single cavity coupled to a two-level atom.
 
-Closed-form spectrum and dressed eigenstates, resonant Rabi dynamics of a
+Closed-form dressed energies, resonant Rabi dynamics of a
 Fock state, and the dressed-basis photon matrix elements that control
 tunneling between two such cavities.
 """
@@ -8,7 +8,6 @@ tunneling between two such cavities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,29 +20,11 @@ from .core import (
 )
 
 __all__ = [
-    "DressedState",
     "jc_energy",
-    "dressed_state",
     "rabi_amplitudes",
     "rabi_line_spectra",
     "dressed_photon_matrix_element",
 ]
-
-
-@dataclass(frozen=True)
-class DressedState:
-    """Eigenstate mixing |n photons, excited atom> with |n+1 photons, ground atom>.
-
-    At resonance the amplitude vector on that ordered two-state basis is
-    (branch, 1) / sqrt(2).
-    """
-
-    n: int
-    branch: int
-    energy: float
-
-    def amplitude_vector(self) -> np.ndarray:
-        return np.array([self.branch, 1.0]) / math.sqrt(2.0)
 
 
 def _check_branch(branch: int):
@@ -61,11 +42,6 @@ def jc_energy(params: ModelParams, n: int, branch: int) -> float:
     _check_branch(branch)
     gap = math.sqrt(params.delta**2 + 4.0 * params.g**2 * (n + 1))
     return params.omega0 * (n + 0.5) + branch * gap
-
-
-def dressed_state(params: ModelParams, n: int, branch: int) -> DressedState:
-    """Dressed eigenstate with its energy."""
-    return DressedState(n=n, branch=branch, energy=jc_energy(params, n, branch))
 
 
 def rabi_amplitudes(params: ModelParams, n: int, times) -> tuple[AmplitudeSeries, AmplitudeSeries]:

@@ -32,32 +32,21 @@ point, not just analytically.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Iterator
 
 import numpy as np
 
-from .core import ModelParams, NearPoleError, UnsupportedModelError
+from .core import ModelParams, NearPoleError, NumericalFailureError, UnsupportedModelError
 
 __all__ = [
-    "pair_energy",
     "pair_coupling_sq",
     "rpm_walk",
     "rpm_resolvent",
     "rpm_spectra",
-    "check_sign_symmetry",
 ]
 
 DENOMINATOR_FLOOR = 1e-300
-
-
-def pair_energy(params: ModelParams, k: int) -> float:
-    """Diagonal energy of the mirror pair at depth k.
-
-    Both members carry ``omega0 N + 2 sigma g (sqrt(N/2+k) + sqrt(N/2-k))``.
-    """
-    return params.n_photons * params.omega0 + _pair_interaction(params, k)
 
 
 def _pair_interaction(params: ModelParams, k) -> float:
@@ -141,11 +130,16 @@ def rpm_resolvent(params: ModelParams, z):
         For odd N.
     NearPoleError
         If a pair denominator underflows; carries the failing depth.
+    NumericalFailureError
+        If ``a`` or ``b`` is not finite: a pair denominator, about ``|z|^2``, overflowed.
     """
     zs = np.asarray(z, dtype=complex)
     # the last depth is the edge pair
     for _, a, b in _descend(params, zs):
         pass
+    # checked once on the result: a non-finite value carries to the last depth
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise NumericalFailureError("the pair recursion overflowed; evaluate nearer the spectrum")
     if zs.ndim == 0:
         return complex(a), complex(b)
     return a, b
@@ -165,31 +159,3 @@ def rpm_spectra(params: ModelParams, energies, epsilon: float):
     a, b = rpm_resolvent(params, grid - 1j * epsilon)
     return np.imag(a) / np.pi, np.imag(b) / np.pi
 
-
-def check_sign_symmetry(params: ModelParams, z) -> dict:
-    """Verify the sign symmetry of the recursion at the given points.
-
-    Flipping the sign of the coupling g while reflecting the energy
-    argument through the harmonic offset must negate both coefficients:
-
-        a(2 omega0 N - z, -g) = -a(z, g)     (same for b)
-
-    With omega0 = 0 this is the plain inversion (z, g) -> (-z, -g).
-    Returns a report dict with the maximum deviations; report-only, never
-    raises on violation.
-    """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    a1, b1 = rpm_resolvent(params, zs)
-    flipped = dataclasses.replace(params, g=-params.g)
-    shift = 2.0 * (params.omega0 * params.n_photons)
-    a2, b2 = rpm_resolvent(flipped, shift - zs)
-    dev_a = float(np.max(np.abs(a2 + a1)))
-    dev_b = float(np.max(np.abs(b2 + b1)))
-    tol = 1e-12
-    return {
-        "deviation_a": dev_a,
-        "deviation_b": dev_b,
-        "tolerance": tol,
-        "passed": bool(dev_a <= tol and dev_b <= tol),
-        "n_points": int(zs.size),
-    }

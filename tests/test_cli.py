@@ -200,10 +200,30 @@ def test_every_common_flag_reaches_its_config_key(tmp_path):
     # finite bounds, but epsilon**2 overflows in the broadening
     (("spectrum", "--model", "anharmonic-oracle", "--N", 10, "--epsilon", 1e200), None, 3),
     (("spectrum",), '{"g": "x"}', 2),
+    # the pair denominator overflows far from the spectrum
+    (("spectrum", "--model", "anharmonic-rpm", "--N", 10, "--epsilon", 1e200), None, 3),
+    (("spectrum", "--model", "anharmonic-rpm", "--N", 10, "--epsilon", 0.01),
+     '{"grid": [null, 1]}', 2),
+    (("spectrum", "--model", "anharmonic-rpm", "--N", 10, "--epsilon", 0.01),
+     '{"points": null}', 2),
+    (("spectrum", "--model", "anharmonic-rpm", "--N", 10, "--epsilon", 0.01),
+     '{"points": 1e999}', 2),
+    (("noon", "--model", "harmonic", "--N", 4, "--tmax", 5), '{"bins": null}', 2),
+    (("noon", "--model", "harmonic", "--tmax", 5), '{"sweep_n": [null]}', 2),
+    (("spectrum", "--model", "harmonic", "--N", 4), '{"epsilon": "x"}', 2),
+    (("noon", "--model", "harmonic", "--N", 4, "--tmax", 5), '{"noon_threshold": "x"}', 2),
+    (("dynamics", "--model", "harmonic", "--N", 4, "--tmax", 5),
+     '{"transfer_threshold": "x"}', 2),
+    (("dynamics", "--model", "harmonic", "--N", 4, "--tmax", 0, "--first-transfer"),
+     None, 2),
+    (("spectrum", "--model", "harmonic", "--N", 4), '{"g": true}', 2),
 ], ids=[
     "harmonic-J-nan", "rpm-J-inf", "rpm-epsilon-inf", "rpm-epsilon-1e308",
     "grid-1e999", "dynamics-tmax-inf", "noon-tmax-inf",
     "oracle-epsilon-1e308", "oracle-epsilon-overflow", "config-g-string",
+    "rpm-epsilon-overflow", "grid-null", "points-null", "points-1e999", "bins-null",
+    "sweep-n-null", "epsilon-string", "noon-threshold-string",
+    "transfer-threshold-string", "empty-window-first-transfer", "g-boolean",
 ])
 def test_bad_numeric_input_exits_without_csv(tmp_path, args, config, code):
     extra = ()
@@ -215,6 +235,22 @@ def test_bad_numeric_input_exits_without_csv(tmp_path, args, config, code):
     result = invoke(*args, *extra, "--out", out)
     assert result.exit_code == code, result.output
     assert list(out.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("command, model", [
+    ("spectrum", "jc"), ("spectrum", "harmonic"), ("spectrum", "anharmonic-oracle"),
+    ("dynamics", "harmonic"), ("noon", "anharmonic-oracle"),
+])
+def test_integral_float_photon_number_runs_as_int(tmp_path, command, model):
+    config = tmp_path / "float_n.json"
+    config.write_text('{"N": 4.0, "tmax": 5}')
+    runs = {}
+    for name, extra in (("float", ("--config", config)), ("int", ("--N", 4, "--tmax", 5))):
+        out = tmp_path / name
+        result = invoke(command, "--model", model, *extra, "--out", out)
+        assert result.exit_code == 0, result.output
+        runs[name] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert runs["float"] and runs["float"] == runs["int"]
 
 
 def test_malformed_config_reports_line(tmp_path):

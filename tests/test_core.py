@@ -38,6 +38,8 @@ def test_model_params_validation():
         for bad in (math.nan, math.inf, -math.inf, "x", None):
             with pytest.raises(ValueError, match=field):
                 ModelParams(**{"n_photons": 4, field: bad})
+    # an integral float, as JSON may give it, is stored as an int
+    assert type(ModelParams(n_photons=4.0).n_photons) is int
 
 
 def test_model_params_frozen():
@@ -224,7 +226,6 @@ def test_amplitude_from_lines_matches_cosine():
     t = np.linspace(0.0, 20.0, 501)
     series = amplitude_from_lines(spec, t)
     np.testing.assert_allclose(series.values, np.cos(0.8 * t), atol=1e-12)
-    assert series.dt == pytest.approx(t[1] - t[0])
 
 
 @st.composite
@@ -289,8 +290,6 @@ def test_amplitude_series_invariants():
         AmplitudeSeries(times=[0.0, 1.0], values=[1.0, 1.5])
     with pytest.raises(ValueError):
         AmplitudeSeries(times=[], values=[])
-    single = AmplitudeSeries(times=[0.0], values=[1.0])
-    assert single.dt == 0.0
 
 
 def test_resolvent_from_lines_simple_pole():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cavity_rpm.core import ModelParams, NumericalFailureError, merge_degenerate_lines
 from cavity_rpm.effective import (
+    EigenDecomposition,
     SectorHamiltonian,
     build_sector_hamiltonian,
     diagonalize,
@@ -90,13 +91,16 @@ def test_eigensystem_quality():
     assert float(np.max(np.abs(residual))) <= 1e-9 * scale
 
 
-def test_eigenvector_sign_convention():
-    params = ModelParams(n_photons=10, omega0=1.0, g=0.7, j_tun=0.5)
-    decomp = diagonalize(build_sector_hamiltonian(params))
-    for j in range(decomp.vectors.shape[1]):
-        col = decomp.vectors[:, j]
-        pivot = col[np.nonzero(np.abs(col) > 1e-12)[0][0]]
-        assert pivot > 0
+def test_weights_do_not_depend_on_eigenvector_signs():
+    rng = np.random.default_rng(3)
+    for n, g, j in ((10, 0.7, 0.5), (11, 1.2, 0.8), (20, -0.4, 0.05), (6, 1.2, 0.0)):
+        decomp = diagonalize(build_sector_hamiltonian(
+            ModelParams(n_photons=n, omega0=1.0, g=g, j_tun=j)))
+        signs = np.where(rng.random(n + 1) < 0.5, -1.0, 1.0)
+        flipped = EigenDecomposition(energies=decomp.energies, vectors=decomp.vectors * signs)
+        for spec, ref in zip(spectra_from_eigen(flipped), spectra_from_eigen(decomp)):
+            assert spec.energies.tobytes() == ref.energies.tobytes()
+            assert spec.weights.tobytes() == ref.weights.tobytes()
 
 
 def test_eigenvalues_match_dense_solver():

@@ -7,28 +7,7 @@ import pytest
 
 from cavity_rpm.core import ModelParams, UnsupportedModelError, amplitude_from_lines
 from cavity_rpm.effective import build_sector_hamiltonian, diagonalize, spectra_from_eigen
-from cavity_rpm.harmonic import (
-    harmonic_amplitudes,
-    harmonic_line_spectra,
-    harmonic_overlap,
-)
-
-
-def test_overlap_values_and_normalization():
-    assert harmonic_overlap(6, 3) == pytest.approx(math.sqrt(20.0 / 64.0))
-    assert harmonic_overlap(0, 0) == 1.0
-    for n in (2, 7, 16):
-        total = sum(harmonic_overlap(n, k) ** 2 for k in range(n + 1))
-        assert total == pytest.approx(1.0, abs=1e-14)
-
-
-def test_overlap_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        harmonic_overlap(4, 5)
-    with pytest.raises(ValueError):
-        harmonic_overlap(4, -1)
-    with pytest.raises(ValueError):
-        harmonic_overlap(-2, 0)
+from cavity_rpm.harmonic import harmonic_amplitudes, harmonic_line_spectra
 
 
 def test_two_photon_lines_are_frozen():
@@ -124,5 +103,5 @@ def test_weights_do_not_overflow_beyond_n_1023():
     assert math.fsum(spec00.weights) == pytest.approx(1.0, abs=1e-12)
     assert np.all(spec00.weights >= 0.0)
     assert np.max(np.abs(np.abs(spec10.weights) - spec00.weights)) == 0.0
-    assert harmonic_overlap(2000, 1000) ** 2 == pytest.approx(
-        math.comb(2000, 1000) / (1 << 2000), rel=1e-15)
+    # each weight is the correctly rounded quotient of the exact integers
+    assert all(spec00.weights[k] == math.comb(2000, k) / (1 << 2000) for k in range(2001))

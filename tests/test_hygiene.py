@@ -1,6 +1,8 @@
-"""Import hygiene of the package sources, checked on their syntax trees."""
+"""Hygiene of the package sources, checked on their syntax trees: imports,
+``__all__`` entries, and a caller for every public definition."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,36 @@ def test_every_import_is_used(path):
 def test_every_all_entry_is_defined(path):
     tree = _tree(path)
     assert sorted(set(_all(tree)) - _defined(tree)) == []
+
+
+def _references():
+    """Names the package reads, as AST names or attributes, in any module."""
+    names = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _outside_text():
+    """README and the benchmark harness, which may name an entry point."""
+    root = SRC.parents[1]
+    paths = [root / "README.md", *sorted((root / "perfbench").glob("*.py"))]
+    return "\n".join(p.read_text(encoding="utf-8") for p in paths)
+
+
+def test_every_public_definition_has_a_caller():
+    """A public function or class that only its own tests call is dead code."""
+    references = _references()
+    text = _outside_text()
+    unused = [
+        f"{path.stem}.{node.name}" for path in MODULES for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in references
+        and not re.search(rf"\b{node.name}\b", text)
+    ]
+    assert unused == []

@@ -8,7 +8,6 @@ import pytest
 from cavity_rpm.core import ModelParams, UnsupportedModelError, amplitude_from_lines
 from cavity_rpm.jc import (
     dressed_photon_matrix_element,
-    dressed_state,
     jc_energy,
     rabi_amplitudes,
     rabi_line_spectra,
@@ -48,15 +47,6 @@ def test_energy_rejects_bad_arguments():
         jc_energy(params, -1, 1)
     with pytest.raises(ValueError):
         jc_energy(params, 2, 0)
-
-
-def test_dressed_states_orthonormal():
-    params = ModelParams(n_photons=1, omega0=1.0, g=0.9)
-    up = dressed_state(params, 3, +1).amplitude_vector()
-    down = dressed_state(params, 3, -1).amplitude_vector()
-    assert up @ up == pytest.approx(1.0)
-    assert down @ down == pytest.approx(1.0)
-    assert up @ down == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rabi_conservation_and_node():

@@ -1,5 +1,7 @@
 """Pair-recursion resolvent against dense references and its symmetries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,14 @@ from hypothesis import strategies as st
 from cavity_rpm.core import (
     ModelParams,
     NearPoleError,
+    NumericalFailureError,
     UnsupportedModelError,
     smoothed_density,
 )
 from cavity_rpm.effective import build_sector_hamiltonian
 from cavity_rpm.harmonic import harmonic_line_spectra
 from cavity_rpm.rpm import (
-    check_sign_symmetry,
     pair_coupling_sq,
-    pair_energy,
     rpm_resolvent,
     rpm_spectra,
     rpm_walk,
@@ -33,7 +34,6 @@ def dense_edge_elements(params, z):
 def test_pair_bookkeeping():
     params = ModelParams(n_photons=8, omega0=1.0, g=1.2, j_tun=0.8, sigma=-1)
     # depth 4 pair is the edge pair {|8,0>, |0,8>}
-    assert pair_energy(params, 4) == pytest.approx(8.0 - 2.4 * np.sqrt(8.0))
     assert pair_coupling_sq(8, 3, 0.8) == pytest.approx(0.8**2 * 8.0 * 1.0)
     # no pair beyond the edge: coupling out of the last pair vanishes
     assert pair_coupling_sq(8, 4, 0.8) == 0.0
@@ -97,6 +97,15 @@ def test_walk_near_pole_raises_with_depth():
     assert excinfo.value.depth == 1
 
 
+def test_overflow_far_from_the_spectrum_raises():
+    params = ModelParams(n_photons=10, omega0=1.0, g=1.2, j_tun=0.8)
+    # the pair denominator is about |z|^2, beyond double range here
+    for z in (1e200 - 1e200j, np.array([3.0 - 1.0j, 1e200 - 1e200j])):
+        with pytest.raises(NumericalFailureError, match="overflowed"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            rpm_resolvent(params, z)
+
+
 def test_walk_yields_every_depth():
     params = ModelParams(n_photons=12, omega0=1.0, g=1.2, j_tun=0.8)
     z = 10.0 + 0.5j
@@ -153,20 +162,29 @@ def test_zero_tunneling_decouples_edge():
     assert b == 0.0
 
 
+def sign_symmetry_deviations(params, z):
+    """max |a(2 omega0 N - z, -g) + a(z, g)| and the same for b."""
+    z = np.asarray(z, dtype=complex)
+    a1, b1 = rpm_resolvent(params, z)
+    flipped = dataclasses.replace(params, g=-params.g)
+    a2, b2 = rpm_resolvent(flipped, 2.0 * (params.omega0 * params.n_photons) - z)
+    return float(np.max(np.abs(a2 + a1))), float(np.max(np.abs(b2 + b1)))
+
+
 def test_sign_symmetry_exact_without_offset():
     params = ModelParams(n_photons=10, omega0=0.0, g=1.2, j_tun=0.8)
-    report = check_sign_symmetry(params, [0.25 + 0.5j, -3.5 - 0.0625j, 7.75 - 0.25j])
-    assert report["passed"]
-    assert report["deviation_a"] == 0.0
-    assert report["deviation_b"] == 0.0
+    dev_a, dev_b = sign_symmetry_deviations(
+        params, [0.25 + 0.5j, -3.5 - 0.0625j, 7.75 - 0.25j])
+    assert dev_a == 0.0
+    assert dev_b == 0.0
 
 
 def test_sign_symmetry_with_harmonic_offset():
     params = ModelParams(n_photons=10, omega0=1.0, g=1.2, j_tun=0.8)
-    report = check_sign_symmetry(params, [0.25 + 0.5j, 12.5 - 2.0j, -0.125 + 0.03125j])
-    assert report["passed"]
-    assert report["deviation_a"] <= 1e-12
-    assert report["deviation_b"] <= 1e-12
+    dev_a, dev_b = sign_symmetry_deviations(
+        params, [0.25 + 0.5j, 12.5 - 2.0j, -0.125 + 0.03125j])
+    assert dev_a <= 1e-12
+    assert dev_b <= 1e-12
 
 
 def test_mirror_densities_between_branches():
