@@ -5,8 +5,8 @@ optional JSON config file, then explicit flags, and writes plot-ready CSV
 files next to JSON sidecars echoing the full resolved configuration.
 Identical configurations produce byte-identical output.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
-4 validation failure.
+Exit codes: 0 ok, 2 configuration error (including a time grid too large
+to allocate), 3 numerical failure, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -35,45 +35,36 @@ AMPLITUDE_SUFFIXES = (
     "transition_re", "transition_im", "transition_abs",
 )
 
-DEFAULTS = {
-    "model": "anharmonic-oracle",
-    "N": 100,
-    "g": 1.2,
-    "J": 0.8,
-    "omega0": 1.0,
-    "sigma": 1,
-    "delta": 0.0,
-    "epsilon": None,
-    "tmax": None,
-    "dt": None,
-    "bins": 50,
-    "points": 2000,
-    "grid": None,
-    "noon_threshold": 0.55,
-    "transfer_threshold": 0.5,
-    "checks": None,
-    "sweep_n": None,
+# each config key: its default; the kind of value it holds (a number, an
+# integral number, a string, or, as a one-element tuple, a list of these;
+# where the default is None, also null); and the help of its flag, None for
+# keys that only a config file sets
+_KEYS = {
+    "model": ("anharmonic-oracle", str, " | ".join(MODELS)),
+    "N": (100, int, "Total photon number."),
+    "g": (1.2, float, "Atom-photon coupling."),
+    "J": (0.8, float, "Tunneling rate."),
+    "omega0": (1.0, float, "Cavity frequency."),
+    "sigma": (1, int, "Dressed branch, +1 or -1."),
+    "delta": (0.0, float, None),
+    "epsilon": (None, float, "Lorentzian broadening for densities."),
+    "tmax": (None, float, "Time window length."),
+    "dt": (None, float, "Time step."),
+    "bins": (50, int, "Histogram bins per axis."),
+    "points": (2000, int, None),
+    "grid": (None, (float,), None),
+    "noon_threshold": (0.55, float, None),
+    "transfer_threshold": (0.5, float, None),
+    "checks": (None, (str,), None),
+    "sweep_n": (None, (int,), None),
 }
-
-
-# what each config key holds: a number, an integral number, a string, or (a
-# one-element tuple) a list of these; where the default is None, also null
-_KINDS = {
-    "model": str, "N": int, "g": float, "J": float, "omega0": float, "sigma": int,
-    "delta": float, "epsilon": float, "tmax": float, "dt": float, "bins": int,
-    "points": int, "grid": (float,), "noon_threshold": float,
-    "transfer_threshold": float, "checks": (str,), "sweep_n": (int,),
-}
+DEFAULTS = {key: default for key, (default, _, _) in _KEYS.items()}
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string",
                (float,): "a list of numbers", (int,): "a list of integers",
                (str,): "a list of strings"}
 
 # rows of a CSV file converted to Python floats at once
 _CSV_ROWS = 1024
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _load_config(path: str | None) -> dict:
@@ -83,14 +74,14 @@ def _load_config(path: str | None) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(loaded, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+        raise ValueError(f"{path}: top level must be a JSON object")
     unknown = sorted(set(loaded) - set(DEFAULTS))
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     return loaded
 
 
@@ -111,25 +102,23 @@ def _resolve(config_path: str | None, overrides: dict) -> dict:
         if value is not None:
             cfg[key] = value
     for key, value in cfg.items():
-        if not (value is None and DEFAULTS[key] is None or _has_kind(value, _KINDS[key])):
-            raise ConfigError(f"{key} must be {_KIND_NAMES[_KINDS[key]]}, got {value!r}")
+        default, kind, _ = _KEYS[key]
+        if not (value is None and default is None or _has_kind(value, kind)):
+            raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     if cfg["model"] not in MODELS:
-        raise ConfigError(f"model must be one of {', '.join(MODELS)}, got {cfg['model']!r}")
+        raise ValueError(f"model must be one of {', '.join(MODELS)}, got {cfg['model']!r}")
     return cfg
 
 
 def _params(cfg: dict) -> ModelParams:
-    try:
-        return ModelParams(
-            n_photons=cfg["N"],
-            omega0=cfg["omega0"],
-            g=cfg["g"],
-            j_tun=cfg["J"],
-            sigma=cfg["sigma"],
-            delta=cfg["delta"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ModelParams(
+        n_photons=cfg["N"],
+        omega0=cfg["omega0"],
+        g=cfg["g"],
+        j_tun=cfg["J"],
+        sigma=cfg["sigma"],
+        delta=cfg["delta"],
+    )
 
 
 def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]):
@@ -159,12 +148,12 @@ def _sidecar(command: str, cfg: dict, extra: dict | None = None) -> dict:
 
 def _line_spectra(model: str, params: ModelParams):
     if model == "jc":
-        return jc.rabi_line_spectra(params, params.n_photons)
+        return jc.rabi_line_spectra(params)
     if model == "harmonic":
         return harmonic.harmonic_line_spectra(params)
     if model == "anharmonic-oracle":
         return effective.parity_chain_spectra(effective.build_sector_hamiltonian(params))
-    raise ConfigError(
+    raise ValueError(
         f"model {model!r} provides no line spectrum; it evaluates broadened "
         "densities only (set epsilon)"
     )
@@ -205,18 +194,18 @@ def _default_energy_bounds(model: str, params: ModelParams, epsilon: float):
 def _energy_grid(cfg: dict, params: ModelParams) -> np.ndarray:
     points = int(cfg["points"])
     if points < 2:
-        raise ConfigError(f"points must be >= 2, got {points}")
+        raise ValueError(f"points must be >= 2, got {points}")
     if cfg["grid"] is not None:
         bounds = cfg["grid"]
         if len(bounds) != 2:
-            raise ConfigError("grid must be a [min, max] pair")
+            raise ValueError("grid must be a [min, max] pair")
         lo, hi = float(bounds[0]), float(bounds[1])
         if not hi > lo:
-            raise ConfigError(f"grid upper bound must exceed lower bound, got {bounds}")
+            raise ValueError(f"grid upper bound must exceed lower bound, got {bounds}")
     else:
         lo, hi = _default_energy_bounds(cfg["model"], params, cfg["epsilon"])
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"grid bounds must be finite, got [{lo}, {hi}]")
+        raise ValueError(f"grid bounds must be finite, got [{lo}, {hi}]")
     return np.linspace(lo, hi, points)
 
 
@@ -243,19 +232,9 @@ def _common_options(f):
         click.option("--out", "out", default=".",
                      type=click.Path(file_okay=False),
                      help="Output directory (created if missing)."),
-        click.option("--model", default=None, type=str,
-                     help="jc | harmonic | anharmonic-rpm | anharmonic-oracle"),
-        click.option("--N", "N", default=None, type=int,
-                     help="Total photon number."),
-        click.option("--g", default=None, type=float, help="Atom-photon coupling."),
-        click.option("--J", "J", default=None, type=float, help="Tunneling rate."),
-        click.option("--omega0", default=None, type=float, help="Cavity frequency."),
-        click.option("--sigma", default=None, type=int, help="Dressed branch, +1 or -1."),
-        click.option("--epsilon", default=None, type=float,
-                     help="Lorentzian broadening for densities."),
-        click.option("--tmax", default=None, type=float, help="Time window length."),
-        click.option("--dt", default=None, type=float, help="Time step."),
-        click.option("--bins", default=None, type=int, help="Histogram bins per axis."),
+    ] + [
+        click.option(f"--{key}", key, default=None, type=kind, help=flag_help)
+        for key, (_, kind, flag_help) in _KEYS.items() if flag_help is not None
     ]
     for option in reversed(options):
         f = option(f)
@@ -270,14 +249,14 @@ def _fail(exc: Exception | str, code: int):
 def _guarded(fn):
     try:
         fn()
-    except ConfigError as exc:
-        _fail(exc, 2)
     except NumericalFailureError as exc:
         _fail(exc, 3)
     except OverflowError as exc:
         _fail(f"float overflow: {exc}", 3)
     except ValueError as exc:
         _fail(exc, 2)
+    except MemoryError as exc:
+        _fail(f"out of memory: {exc}", 2)
 
 
 @click.group()
@@ -300,7 +279,7 @@ def spectrum(config_path, out, compare, **flag_values):
         out_path = _out_dir(out)
         if compare:
             if cfg["epsilon"] is None:
-                raise ConfigError("--compare needs epsilon to evaluate densities")
+                raise ValueError("--compare needs epsilon to evaluate densities")
             grid = _energy_grid({**cfg, "model": "anharmonic-rpm"}, params)
             r00, rn0 = _smoothed_pair("anharmonic-rpm", params, grid, cfg["epsilon"])
             o00, on0 = _smoothed_pair("anharmonic-oracle", params, grid, cfg["epsilon"])
@@ -367,7 +346,7 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
         cfg = _resolve(config_path, flag_values)
         params = _params(cfg)
         if cfg["model"] == "anharmonic-rpm":
-            raise ConfigError(
+            raise ValueError(
                 "dynamics needs a line-resolved model "
                 "(jc, harmonic or anharmonic-oracle)"
             )
@@ -376,9 +355,9 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
         t_max = t_default if cfg["tmax"] is None else float(cfg["tmax"])
         dt = dt_default if cfg["dt"] is None else float(cfg["dt"])
         if t_max < 0:
-            raise ConfigError(f"tmax must be >= 0, got {t_max}")
+            raise ValueError(f"tmax must be >= 0, got {t_max}")
         if first_transfer and t_max == 0:
-            raise ConfigError("first-transfer needs a non-empty time window")
+            raise ValueError("first-transfer needs a non-empty time window")
         models = [cfg["model"]]
         if compare and cfg["model"] != "harmonic":
             models.append("harmonic")
@@ -418,7 +397,7 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
 def _noon_single(cfg: dict, params: ModelParams):
     model = cfg["model"]
     if model not in ("harmonic", "anharmonic-oracle"):
-        raise ConfigError(
+        raise ValueError(
             "noon statistics need sector line spectra; "
             "use model harmonic or anharmonic-oracle"
         )
@@ -467,7 +446,7 @@ def noon(config_path, out, **flag_values):
             click.echo(f"wrote {csv_path}")
             return
         if not sweep:
-            raise ConfigError("sweep_n must be a non-empty list of photon numbers")
+            raise ValueError("sweep_n must be a non-empty list of photon numbers")
         cfgs = [{**cfg, "N": int(n), "sweep_n": None} for n in sweep]
         results = [_noon_single(c, _params(c)) for c in cfgs]
         for sub_cfg, result in zip(cfgs, results):
@@ -486,13 +465,9 @@ def validate(config_path, out, **flag_values):
         cfg = _resolve(config_path, flag_values)
         out_path = _out_dir(out)
         names = cfg["checks"]
-        if names is not None:
-            if not names:
-                raise ConfigError("checks must be a non-empty list of check names")
-        try:
-            report = run_checks(names)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if names is not None and not names:
+            raise ValueError("checks must be a non-empty list of check names")
+        report = run_checks(names)
         report_path = out_path / "validation_report.json"
         _write_json(report_path, _sidecar("validate", cfg, report.as_dict()))
         for result in report.results:

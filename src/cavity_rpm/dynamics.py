@@ -79,8 +79,6 @@ def first_transfer_time(transition: AmplitudeSeries, threshold: float):
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    if len(transition) == 0:
-        raise ValueError("empty amplitude series")
     mags = np.abs(transition.values)
     peak = float(mags.max())
     if peak < TRANSFER_FLOOR:

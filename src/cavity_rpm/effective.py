@@ -51,15 +51,13 @@ class SectorHamiltonian:
     so both vectors are mirror symmetric.
     """
 
-    n_photons: int
     diag: np.ndarray
     offdiag: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.diag, dtype=float)
         h = np.asarray(self.offdiag, dtype=float)
-        n = self.n_photons
-        if d.shape != (n + 1,) or h.shape != (n,):
+        if d.ndim != 1 or h.shape != (d.size - 1,):
             raise ValueError("diagonal needs N+1 entries and off-diagonal N entries")
         scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(h), initial=0.0)))
         if not np.allclose(d, d[::-1], rtol=0, atol=1e-12 * scale):
@@ -68,6 +66,10 @@ class SectorHamiltonian:
             raise ValueError("off-diagonal breaks cavity-exchange symmetry")
         object.__setattr__(self, "diag", _readonly(d))
         object.__setattr__(self, "offdiag", _readonly(h))
+
+    @property
+    def n_photons(self) -> int:
+        return self.diag.size - 1
 
     def dense(self) -> np.ndarray:
         m = np.diag(self.diag)
@@ -104,7 +106,7 @@ def build_sector_hamiltonian(params: ModelParams) -> SectorHamiltonian:
     )
     kk = np.arange(n)
     offdiag = -params.j_tun * np.sqrt((kk + 1.0) * (n - kk))
-    return SectorHamiltonian(n_photons=n, diag=diag, offdiag=offdiag)
+    return SectorHamiltonian(diag=diag, offdiag=offdiag)
 
 
 def diagonalize(h: SectorHamiltonian) -> EigenDecomposition:

@@ -36,7 +36,6 @@ class JointHistogram:
 
     bins: np.ndarray
     n_samples: int
-    bin_width: float
 
     def __post_init__(self):
         b = np.asarray(self.bins, dtype=float)
@@ -46,13 +45,15 @@ class JointHistogram:
             raise ValueError("histogram mass cannot be negative")
         if abs(float(b.sum()) - 1.0) > HISTOGRAM_SUM_TOL:
             raise ValueError("histogram must be normalized to total mass 1")
-        if not math.isclose(self.bin_width, 1.0 / b.shape[0], rel_tol=1e-12):
-            raise ValueError("bin_width must equal 1 / B")
         object.__setattr__(self, "bins", _readonly(b))
 
     @property
     def size(self) -> int:
         return int(self.bins.shape[0])
+
+    @property
+    def bin_width(self) -> float:
+        return 1.0 / self.size
 
     def bin_centers(self) -> np.ndarray:
         b = self.size
@@ -75,7 +76,7 @@ def sample_joint(ret: AmplitudeSeries, tra: AmplitudeSeries, bins: int = 50) -> 
         bins=bins, range=[[0.0, 1.0], [0.0, 1.0]],
     )
     n = len(ret)
-    return JointHistogram(bins=counts / n, n_samples=n, bin_width=1.0 / bins)
+    return JointHistogram(bins=counts / n, n_samples=n)
 
 
 def noon_score(return_amp, transition_amp):

@@ -44,8 +44,9 @@ def jc_energy(params: ModelParams, n: int, branch: int) -> float:
     return params.omega0 * (n + 0.5) + branch * gap
 
 
-def rabi_amplitudes(params: ModelParams, n: int, times) -> tuple[AmplitudeSeries, AmplitudeSeries]:
-    """Return and transition amplitudes of the initial state |n photons, ground atom>.
+def rabi_amplitudes(params: ModelParams, times) -> tuple[AmplitudeSeries, AmplitudeSeries]:
+    """Return and transition amplitudes of the initial state |n photons, ground atom>,
+    with ``n = params.n_photons``.
 
     Only the resonant case is supported.  The two-dimensional invariant
     subspace {|n, ground>, |n-1, excited>} gives
@@ -62,8 +63,7 @@ def rabi_amplitudes(params: ModelParams, n: int, times) -> tuple[AmplitudeSeries
     """
     if params.delta != 0.0:
         raise UnsupportedModelError("Rabi closed forms require zero detuning")
-    if n < 1:
-        raise ValueError(f"the initial Fock state needs n >= 1 photons, got {n}")
+    n = params.n_photons
     t = np.asarray(times, dtype=float)
     phase = np.exp(-1j * params.omega0 * (n - 0.5) * t)
     omega_r = 2.0 * params.g * math.sqrt(n)
@@ -72,8 +72,9 @@ def rabi_amplitudes(params: ModelParams, n: int, times) -> tuple[AmplitudeSeries
     return ret, tra
 
 
-def rabi_line_spectra(params: ModelParams, n: int) -> tuple[LineSpectrum, LineSpectrum]:
-    """Line spectra of the resonant Rabi problem for the initial state |n, ground>.
+def rabi_line_spectra(params: ModelParams) -> tuple[LineSpectrum, LineSpectrum]:
+    """Line spectra of the resonant Rabi problem for the initial state |n, ground>,
+    with ``n = params.n_photons``.
 
     The initial state splits equally over the two dressed levels below it,
     so the diagonal density carries weight 1/2 at each of
@@ -82,8 +83,7 @@ def rabi_line_spectra(params: ModelParams, n: int) -> tuple[LineSpectrum, LineSp
     """
     if params.delta != 0.0:
         raise UnsupportedModelError("Rabi line spectra require zero detuning")
-    if n < 1:
-        raise ValueError(f"the initial Fock state needs n >= 1 photons, got {n}")
+    n = params.n_photons
     e_minus = jc_energy(params, n - 1, -1)
     e_plus = jc_energy(params, n - 1, +1)
     energies = [e_minus, e_plus]

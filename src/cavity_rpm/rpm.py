@@ -131,14 +131,16 @@ def rpm_resolvent(params: ModelParams, z):
     NearPoleError
         If a pair denominator underflows; carries the failing depth.
     NumericalFailureError
-        If ``a`` or ``b`` is not finite: a pair denominator, about ``|z|^2``, overflowed.
+        If ``a`` or ``b`` is not finite, or ``a`` is 0: a pair denominator,
+        about ``|z|^2``, overflowed.
     """
     zs = np.asarray(z, dtype=complex)
     # the last depth is the edge pair
     for _, a, b in _descend(params, zs):
         pass
-    # checked once on the result: a non-finite value carries to the last depth
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    # checked once on the result: a non-finite value carries to the last depth;
+    # off the real axis a is never 0, but reads 0 where its denominator overflowed
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(a != 0)):
         raise NumericalFailureError("the pair recursion overflowed; evaluate nearer the spectrum")
     if zs.ndim == 0:
         return complex(a), complex(b)

@@ -38,7 +38,7 @@ def test_criterion_1_rabi_closed_form(capsys):
     worst = 0.0
     for n in (1, 4, 9):
         params = cr.ModelParams(n_photons=n, omega0=1.0, g=1.2)
-        ret, _ = cr.rabi_amplitudes(params, n, t)
+        ret, _ = cr.rabi_amplitudes(params, t)
         target = np.cos(2.0 * params.g * math.sqrt(n) * t) ** 2
         worst = max(worst, float(np.max(np.abs(np.abs(ret.values) ** 2 - target))))
     elapsed = time.perf_counter() - start

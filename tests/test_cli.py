@@ -217,6 +217,11 @@ def test_every_common_flag_reaches_its_config_key(tmp_path):
     (("dynamics", "--model", "harmonic", "--N", 4, "--tmax", 0, "--first-transfer"),
      None, 2),
     (("spectrum", "--model", "harmonic", "--N", 4), '{"g": true}', 2),
+    # the time grid cannot be allocated
+    (("dynamics", "--model", "harmonic", "--N", 4, "--tmax", 1e12, "--dt", 1e-3), None, 2),
+    # the pair denominator overflows but d stays finite: a flushes to 0
+    (("spectrum", "--model", "anharmonic-rpm", "--N", 10, "--epsilon", 1e200),
+     '{"grid": [0, 1], "points": 5}', 3),
 ], ids=[
     "harmonic-J-nan", "rpm-J-inf", "rpm-epsilon-inf", "rpm-epsilon-1e308",
     "grid-1e999", "dynamics-tmax-inf", "noon-tmax-inf",
@@ -224,6 +229,7 @@ def test_every_common_flag_reaches_its_config_key(tmp_path):
     "rpm-epsilon-overflow", "grid-null", "points-null", "points-1e999", "bins-null",
     "sweep-n-null", "epsilon-string", "noon-threshold-string",
     "transfer-threshold-string", "empty-window-first-transfer", "g-boolean",
+    "time-grid-too-large", "rpm-epsilon-overflow-to-zero",
 ])
 def test_bad_numeric_input_exits_without_csv(tmp_path, args, config, code):
     extra = ()

@@ -105,7 +105,7 @@ def _sector_spectra(draw):
         return harmonic_line_spectra(params)
     if source == "jc":
         n = draw(st.integers(1, 50))
-        return rabi_line_spectra(ModelParams(n_photons=n, omega0=omega0, g=g), n)
+        return rabi_line_spectra(ModelParams(n_photons=n, omega0=omega0, g=g))
     params = ModelParams(n_photons=draw(st.integers(1, 400)), omega0=omega0, g=g, j_tun=j,
                          sigma=draw(st.sampled_from([1, -1])))
     h = build_sector_hamiltonian(params)

@@ -71,11 +71,11 @@ def test_two_photon_diagonal():
 
 def test_hamiltonian_rejects_asymmetric_input():
     with pytest.raises(ValueError, match="exchange"):
-        SectorHamiltonian(n_photons=2, diag=[0.0, 1.0, 2.0], offdiag=[1.0, 1.0])
+        SectorHamiltonian(diag=[0.0, 1.0, 2.0], offdiag=[1.0, 1.0])
     with pytest.raises(ValueError, match="exchange"):
-        SectorHamiltonian(n_photons=2, diag=[0.0, 1.0, 0.0], offdiag=[1.0, 2.0])
+        SectorHamiltonian(diag=[0.0, 1.0, 0.0], offdiag=[1.0, 2.0])
     with pytest.raises(ValueError, match="entries"):
-        SectorHamiltonian(n_photons=2, diag=[0.0, 0.0], offdiag=[1.0, 1.0])
+        SectorHamiltonian(diag=[0.0, 0.0], offdiag=[1.0, 1.0])
 
 
 def test_eigensystem_quality():
@@ -215,7 +215,7 @@ def test_parity_chains_resolve_doublets_the_dense_vectors_mix():
 def test_parity_chains_unresolvable_weights_raise_numerical_failure():
     # the chain's last two states are coupled below rounding: its eigenvalues
     # coincide and the interlacing product reads 0/0
-    h = SectorHamiltonian(n_photons=4, diag=[0.0, 1.0, 1.0, 1.0, 0.0],
+    h = SectorHamiltonian(diag=[0.0, 1.0, 1.0, 1.0, 0.0],
                           offdiag=[1e-9, 1e-300, 1e-300, 1e-9])
     with pytest.raises(NumericalFailureError, match="parity-chain"):
         parity_chain_spectra(h)

@@ -47,18 +47,16 @@ def test_histogram_validation():
 
 def test_joint_histogram_invariants():
     good = np.full((4, 4), 1.0 / 16.0)
-    JointHistogram(bins=good, n_samples=16, bin_width=0.25)
+    JointHistogram(bins=good, n_samples=16)
     with pytest.raises(ValueError):
-        JointHistogram(bins=good * 2.0, n_samples=16, bin_width=0.25)
+        JointHistogram(bins=good * 2.0, n_samples=16)
     with pytest.raises(ValueError):
-        JointHistogram(bins=np.full((4, 3), 1.0 / 12.0), n_samples=12, bin_width=0.25)
-    with pytest.raises(ValueError):
-        JointHistogram(bins=good, n_samples=16, bin_width=0.2)
+        JointHistogram(bins=np.full((4, 3), 1.0 / 12.0), n_samples=12)
     bad = good.copy()
     bad[0, 0] = -good[0, 0]
     bad[1, 1] += 2 * good[0, 0]
     with pytest.raises(ValueError):
-        JointHistogram(bins=bad, n_samples=16, bin_width=0.25)
+        JointHistogram(bins=bad, n_samples=16)
 
 
 def test_bin_centers():

@@ -1,11 +1,14 @@
 """Hygiene of the package sources, checked on their syntax trees: imports,
-``__all__`` entries, and a caller for every public definition."""
+``__all__`` entries, a caller for every public definition, and a reader for
+every config key of the command line."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+from cavity_rpm.cli import DEFAULTS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cavity_rpm"
 MODULES = sorted(SRC.glob("*.py"))
@@ -91,3 +94,14 @@ def test_every_public_definition_has_a_caller():
         and not re.search(rf"\b{node.name}\b", text)
     ]
     assert unused == []
+
+
+def test_every_config_key_is_read():
+    """A config key that the command line never reads as ``cfg["<key>"]`` is
+    an option that does nothing."""
+    read = {
+        node.slice.value for node in ast.walk(_tree(SRC / "cli.py"))
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+        and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)
+    }
+    assert sorted(set(DEFAULTS) - read) == []

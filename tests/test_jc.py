@@ -50,16 +50,16 @@ def test_energy_rejects_bad_arguments():
 
 
 def test_rabi_conservation_and_node():
-    params = ModelParams(n_photons=1, omega0=1.0, g=1.2)
     t = np.linspace(0.0, 10.0, 4001)
     for n in (1, 4, 9):
-        ret, tra = rabi_amplitudes(params, n, t)
+        ret, tra = rabi_amplitudes(ModelParams(n_photons=n, omega0=1.0, g=1.2), t)
         total = np.abs(ret.values) ** 2 + np.abs(tra.values) ** 2
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
     # quarter Rabi period: population fully transferred
     n = 4
+    params = ModelParams(n_photons=n, omega0=1.0, g=1.2)
     t_node = math.pi / (4.0 * params.g * math.sqrt(n))
-    ret, tra = rabi_amplitudes(params, n, [t_node])
+    ret, tra = rabi_amplitudes(params, [t_node])
     assert abs(ret.values[0]) < 1e-15
     assert abs(tra.values[0]) == pytest.approx(1.0, abs=1e-14)
 
@@ -67,26 +67,31 @@ def test_rabi_conservation_and_node():
 def test_rabi_transition_phase_direction():
     # for small positive t the transition starts along -i
     params = ModelParams(n_photons=1, omega0=0.0, g=0.5)
-    _, tra = rabi_amplitudes(params, 1, [0.01])
+    _, tra = rabi_amplitudes(params, [0.01])
     assert tra.values[0].imag < 0
     assert abs(tra.values[0].real) < 1e-6
 
 
 def test_rabi_rejects_unsupported_configurations():
     with pytest.raises(UnsupportedModelError):
-        rabi_amplitudes(ModelParams(n_photons=1, g=1.0, delta=0.3), 2, [0.0, 0.1])
-    with pytest.raises(ValueError):
-        rabi_amplitudes(ModelParams(n_photons=1, g=1.0), 0, [0.0, 0.1])
+        rabi_amplitudes(ModelParams(n_photons=2, g=1.0, delta=0.3), [0.0, 0.1])
+    with pytest.raises(UnsupportedModelError):
+        rabi_line_spectra(ModelParams(n_photons=2, g=1.0, delta=0.3))
+    # the initial Fock state is the one of params.n_photons
+    for n in (1, 4, 9):
+        rho00, _ = rabi_line_spectra(ModelParams(n_photons=n, omega0=1.0, g=0.5))
+        expected = [n - 0.5 - math.sqrt(n), n - 0.5 + math.sqrt(n)]
+        np.testing.assert_allclose(rho00.energies, expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("g", [1.2, -0.7])
 @pytest.mark.parametrize("omega0", [0.0, 1.0])
 def test_line_spectra_synthesize_closed_forms(g, omega0):
-    params = ModelParams(n_photons=1, omega0=omega0, g=g)
     t = np.linspace(0.0, 12.0, 1201)
     for n in (1, 4, 9):
-        rho00, rho10 = rabi_line_spectra(params, n)
-        ret_c, tra_c = rabi_amplitudes(params, n, t)
+        params = ModelParams(n_photons=n, omega0=omega0, g=g)
+        rho00, rho10 = rabi_line_spectra(params)
+        ret_c, tra_c = rabi_amplitudes(params, t)
         ret_s = amplitude_from_lines(rho00, t)
         tra_s = amplitude_from_lines(rho10, t)
         np.testing.assert_allclose(ret_s.values, ret_c.values, atol=1e-12)
@@ -94,7 +99,7 @@ def test_line_spectra_synthesize_closed_forms(g, omega0):
 
 
 def test_line_spectra_merge_at_zero_coupling():
-    rho00, rho10 = rabi_line_spectra(ModelParams(n_photons=1, omega0=1.0, g=0.0), 2)
+    rho00, rho10 = rabi_line_spectra(ModelParams(n_photons=2, omega0=1.0, g=0.0))
     assert len(rho00) == 1
     assert rho00.weights[0] == pytest.approx(1.0)
     assert rho10.weights[0] == pytest.approx(0.0, abs=1e-15)
