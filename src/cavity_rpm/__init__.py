@@ -14,7 +14,7 @@ those results; other types, exceptions and helpers come from their modules.
 
 __version__ = "1.0.0"
 
-from .core import ModelParams, amplitude_from_lines, smoothed_density
+from .core import ModelParams, amplitude_from_lines, edge_lines, smoothed_density
 from .dynamics import evolve, first_transfer_time
 from .effective import (
     build_sector_hamiltonian,
@@ -32,6 +32,7 @@ __all__ = [
     "amplitude_from_lines",
     "build_sector_hamiltonian",
     "diagonalize",
+    "edge_lines",
     "evolve",
     "first_transfer_time",
     "harmonic_amplitudes",

@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__, effective, harmonic, jc, rpm
-from .core import ModelParams, NumericalFailureError, smoothed_density
+from .core import ModelParams, NumericalFailureError, edge_lines, smoothed_density
 from .dynamics import default_time_grid, evolve, first_transfer_time
 from .entanglement import default_sampling_window, sample_joint, score_samples
 from .validation import run_checks
@@ -159,14 +159,15 @@ def _line_spectra(model: str, params: ModelParams):
     )
 
 
-def _diagnostics(spec00) -> dict:
-    """Deterministic figures of a diagonal line spectrum, for the sidecars:
-    exact-zero weights (underflow, or a line the edge state does not reach)
-    and the departure of the weight sum from one."""
+def _diagnostics(lines) -> dict:
+    """Deterministic figures of an :func:`edge_lines` table, for the sidecars:
+    its lines, its exact-zero ``weight00`` (underflow, or a line the edge state
+    does not reach) and the departure of their sum from one."""
+    energies, w00, _ = lines
     return {
-        "lines": len(spec00),
-        "zero_weight_lines": int(np.count_nonzero(spec00.weights == 0)),
-        "weight_sum_defect": float(np.sum(spec00.weights)) - 1.0,
+        "lines": int(energies.size),
+        "zero_weight_lines": int(np.count_nonzero(w00 == 0)),
+        "weight_sum_defect": float(np.sum(w00)) - 1.0,
     }
 
 
@@ -180,8 +181,8 @@ def _density_diagnostics(rhon0) -> dict:
 
 def _default_energy_bounds(model: str, params: ModelParams, epsilon: float):
     if model == "jc":
-        spec00, _ = _line_spectra(model, params)
-        lo, hi = float(spec00.energies[0]), float(spec00.energies[-1])
+        energies, _, _ = edge_lines(*_line_spectra(model, params))
+        lo, hi = float(energies[0]), float(energies[-1])
     else:
         h = effective.build_sector_hamiltonian(params)
         reach = 2.0 * float(np.max(np.abs(h.offdiag), initial=0.0))
@@ -212,10 +213,7 @@ def _energy_grid(cfg: dict, params: ModelParams) -> np.ndarray:
 def _smoothed_pair(model: str, params: ModelParams, grid: np.ndarray, epsilon: float):
     if model == "anharmonic-rpm":
         return rpm.rpm_spectra(params, grid, epsilon)
-    spec00, specn0 = _line_spectra(model, params)
-    rho00 = smoothed_density(spec00, grid, epsilon)
-    rhon0 = np.real(smoothed_density(specn0, grid, epsilon))
-    return rho00, rhon0
+    return smoothed_density(*_line_spectra(model, params), grid, epsilon)
 
 
 def _out_dir(out: str) -> Path:
@@ -302,14 +300,10 @@ def spectrum(config_path, out, compare, **flag_values):
             return
         extra = None
         if cfg["epsilon"] is None:
-            spec00, specn0 = _line_spectra(cfg["model"], params)
+            lines = edge_lines(*_line_spectra(cfg["model"], params))
             csv_path = out_path / f"spectrum_{cfg['model']}.csv"
-            _write_csv(csv_path, [
-                ("energy", spec00.energies),
-                ("weight00", np.real(spec00.weights)),
-                ("weightN0", np.real(specn0.weights)),
-            ])
-            extra = {"diagnostics": {cfg["model"]: _diagnostics(spec00)}}
+            _write_csv(csv_path, list(zip(("energy", "weight00", "weightN0"), lines)))
+            extra = {"diagnostics": {cfg["model"]: _diagnostics(lines)}}
         else:
             grid = _energy_grid(cfg, params)
             rho00, rhon0 = _smoothed_pair(cfg["model"], params, grid, cfg["epsilon"])
@@ -371,9 +365,9 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
         else:
             columns: list[tuple[str, np.ndarray]] = []
             for model in models:
-                spec00, specn0 = _line_spectra(model, params)
-                diagnostics[model] = _diagnostics(spec00)
-                ret, tra = evolve(spec00, specn0, t_max, dt)
+                halves = _line_spectra(model, params)
+                diagnostics[model] = _diagnostics(edge_lines(*halves))
+                ret, tra = evolve(*halves, t_max, dt)
                 if not columns:
                     columns.append(("t", ret.times))
                 columns += _amplitude_columns(prefixes[model], ret, tra)
@@ -401,15 +395,16 @@ def _noon_single(cfg: dict, params: ModelParams):
             "noon statistics need sector line spectra; "
             "use model harmonic or anharmonic-oracle"
         )
-    spec00, specn0 = _line_spectra(model, params)
-    t_auto, dt_auto = default_sampling_window(params, spec00)
+    halves = _line_spectra(model, params)
+    lines = edge_lines(*halves)
+    t_auto, dt_auto = default_sampling_window(params, lines[0])
     t_max = t_auto if cfg["tmax"] is None else float(cfg["tmax"])
     dt = dt_auto if cfg["dt"] is None else float(cfg["dt"])
-    ret, tra = evolve(spec00, specn0, t_max, dt)
+    ret, tra = evolve(*halves, t_max, dt)
     hist = sample_joint(ret, tra, int(cfg["bins"]))
     feasibility = score_samples(ret, tra, cfg["noon_threshold"])
     summary = {**dataclasses.asdict(feasibility), "t_max": t_max, "dt": dt}
-    return hist, summary, {model: _diagnostics(spec00)}
+    return hist, summary, {model: _diagnostics(lines)}
 
 
 def _write_noon(out_path: Path, cfg: dict, suffix: str, hist, summary, diagnostics):

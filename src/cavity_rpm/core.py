@@ -1,16 +1,23 @@
 """Shared domain types and the pole/residue spectral formalism.
 
-Every model in this package reduces to a finite list of spectral lines:
-real energies ``E_j`` with complex weights ``w_j``.  Densities, resolvent
-samples and time series are then exact finite sums over those lines,
+Every model in this package reduces to finite lists of spectral lines:
+real energies ``E_j`` with real non-negative weights ``w_j`` summing to one.
+Densities, resolvent samples and time series are then exact finite sums
+over those lines,
 
 * smoothed density   ``(1/pi) sum_j w_j eps / (eps^2 + (E - E_j)^2)``
 * resolvent element  ``sum_j w_j / (z - E_j)``
 * amplitude          ``sum_j w_j exp(-i E_j t)``
 
-so no discretized integral ever enters.  Diagonal spectra carry real
-non-negative weights summing to one; off-diagonal spectra may carry
-signed or complex weights.
+so no discretized integral ever enters.
+
+Cavity exchange splits the N-photon sector into a symmetric and an
+antisymmetric half, and the models return the edge state's line spectrum
+in each half, ``(sym, anti)``.  The return and transition amplitudes are
+``c0, cN = (S +- A)/2`` with ``S`` and ``A`` the amplitudes of the halves.
+:func:`edge_lines` merges the halves into one table of
+``(energy, weight00, weightN0)``, with ``weight00 = w/2`` and
+``weightN0 = +-w/2`` (+ in the symmetric half), for output and densities.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ __all__ = [
     "LineSpectrum",
     "AmplitudeSeries",
     "merge_degenerate_lines",
+    "edge_lines",
     "smoothed_density",
     "amplitude_from_lines",
     "resolvent_from_lines",
@@ -114,40 +122,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LineSpectrum:
-    """Finite line spectrum, strictly ascending in energy.
-
-    ``kind`` is ``"diagonal"`` for densities of the form |<E_j|psi>|^2
-    (real weights >= 0, summing to 1) and ``"offdiagonal"`` for cross
-    densities <psi'|E_j><E_j|psi> (signed or complex weights).
-    """
+    """Finite line spectrum |<E_j|psi>|^2 of one state: energies strictly
+    ascending, real weights >= 0 summing to 1."""
 
     energies: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         energies = _readonly(np.asarray(self.energies, dtype=float))
-        if self.kind == "diagonal":
-            w = np.asarray(self.weights)
-            if np.iscomplexobj(w) and np.max(np.abs(w.imag), initial=0.0) > 1e-14:
-                raise ValueError("diagonal spectrum requires real weights")
-            weights = _readonly(np.real(w).astype(float))
-        elif self.kind == "offdiagonal":
-            weights = _readonly(np.asarray(self.weights, dtype=complex))
-        else:
-            raise ValueError(f"kind must be 'diagonal' or 'offdiagonal', got {self.kind!r}")
+        weights = _readonly(np.asarray(self.weights, dtype=float))
         if energies.ndim != 1 or energies.shape != weights.shape:
             raise ValueError("energies and weights must be 1-d arrays of equal length")
         if energies.size == 0:
             raise ValueError("a spectrum needs at least one line")
         if np.any(np.diff(energies) <= 0):
             raise ValueError("energies must be strictly ascending; merge degenerate lines first")
-        if self.kind == "diagonal":
-            if np.any(weights < -1e-14):
-                raise ValueError("diagonal weights must be non-negative")
-            total = float(np.sum(weights))
-            if abs(total - 1.0) > DIAGONAL_SUM_TOL:
-                raise ValueError(f"diagonal weights must sum to 1, got {total!r}")
+        if np.any(weights < -1e-14):
+            raise ValueError("weights must be non-negative")
+        total = float(np.sum(weights))
+        if abs(total - 1.0) > DIAGONAL_SUM_TOL:
+            raise ValueError(f"weights must sum to 1, got {total!r}")
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "weights", weights)
 
@@ -232,38 +226,50 @@ def merge_degenerate_lines(
     return merged_e, merged_sets
 
 
-def smoothed_density(spec: LineSpectrum, energies, epsilon: float):
-    """Lorentzian-broadened spectral density on an energy grid.
+def edge_lines(sym: LineSpectrum, anti: LineSpectrum):
+    """The merged table ``(energies, weight00, weightN0)`` of the parity halves.
 
-    Evaluates ``(1/pi) sum_j w_j eps / (eps^2 + (E - E_j)^2)``.  The result
-    is a real array for diagonal spectra and complex for off-diagonal ones.
+    A line of weight ``w`` carries ``weight00 = w/2`` and ``weightN0 = +-w/2``
+    (+ in the symmetric half); the lines of both halves are clustered with
+    :func:`merge_degenerate_lines`.
+    """
+    energies, (w00, wn0) = merge_degenerate_lines(
+        np.concatenate([sym.energies, anti.energies]),
+        [np.concatenate([sym.weights, anti.weights]) / 2,
+         np.concatenate([sym.weights, -anti.weights]) / 2],
+    )
+    return energies, w00, wn0
 
-    Parameters
-    ----------
-    spec : LineSpectrum
-    energies : array_like
-        Evaluation grid, non-empty.
-    epsilon : float
-        Broadening width, must be positive and finite.
+
+def smoothed_density(sym: LineSpectrum, anti: LineSpectrum, energies, epsilon: float):
+    """Lorentzian-broadened densities ``(rho00, rhoN0)`` on a non-empty energy grid.
+
+    Evaluates ``(1/pi) sum_j w_j eps / (eps^2 + (E - E_j)^2)``, with
+    ``epsilon`` positive and finite, over the lines of :func:`edge_lines`,
+    once with ``weight00`` and once with ``weightN0``.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     grid = np.asarray(energies, dtype=float)
     if grid.size == 0:
         raise ValueError("energy grid must be non-empty")
+    lines, w00, wn0 = edge_lines(sym, anti)
+    # the cross weights enter a complex product, whose rounding (zgemv, not
+    # dgemv) the written rhoN0 columns carry
+    wn0 = wn0.astype(complex)
     # the Lorentzian matrix block by block, each block a multiple of 4 rows and
     # the last one taking the remainder, so that every row is summed as in one
     # product over the whole grid: OpenBLAS's gemv kernels take rows in
     # groups of 4, and a block of a single row would be summed another way
-    rows = 4 * max(1, _DENSITY_BLOCK // (4 * spec.energies.size))
+    rows = 4 * max(1, _DENSITY_BLOCK // (4 * lines.size))
     bounds = [*range(0, max(grid.size - rows, 1), rows), grid.size]
-    out = np.empty(grid.size, dtype=np.result_type(float, spec.weights))
+    rho00 = np.empty(grid.size)
+    rhon0 = np.empty(grid.size)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        lorentz = epsilon / (epsilon**2 + (grid[lo:hi, None] - spec.energies[None, :]) ** 2)
-        out[lo:hi] = lorentz @ spec.weights / np.pi
-    if spec.kind == "diagonal":
-        return np.real(out)
-    return out
+        lorentz = epsilon / (epsilon**2 + (grid[lo:hi, None] - lines[None, :]) ** 2)
+        rho00[lo:hi] = lorentz @ w00 / np.pi
+        rhon0[lo:hi] = np.real(lorentz @ wn0 / np.pi)
+    return rho00, rhon0
 
 
 def _two_product(a: float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,8 +298,11 @@ def _block_sums(energies: np.ndarray, weights: np.ndarray, times, centre: float)
     """``sum_j w_j exp(-i (E_j - c) t)`` on a uniform grid: the block synthesis
     of :func:`amplitude_from_lines` without the common phase ``exp(-i c t)``.
 
-    Takes any number of lines, none included (the sums are then zero).
+    Takes any number of lines, none included (the sums are then zero).  Lines
+    of zero weight add nothing and are skipped.
     """
+    reached = weights != 0
+    energies, weights = energies[reached], weights[reached]
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-d array")

@@ -20,23 +20,19 @@ def default_time_grid(params: ModelParams) -> tuple[float, float]:
 
 
 def evolve(
-    spec00: LineSpectrum,
-    specN0: LineSpectrum,
+    sym: LineSpectrum,
+    anti: LineSpectrum,
     t_max: float,
     dt: float,
 ) -> tuple[AmplitudeSeries, AmplitudeSeries]:
     """Return and transition amplitudes ``c0(t)``, ``cN(t)`` on a shared uniform grid.
 
-    The two spectra must come from the same decomposition, which after the
-    shared degeneracy merge means equal energies.  By exchange symmetry
-    ``c0 + cN`` is a sum over the symmetric chain's lines alone and
-    ``c0 - cN`` over the antisymmetric chain's.  Each of these halves is
-    synthesized once, over its lines of nonzero weight ``w00 +- wN0``, with
-    the block algorithm of :func:`~cavity_rpm.core.amplitude_from_lines`.
-    Both are measured from the centre ``c`` of the full line span, so the
-    common phase ``exp(-i c t)`` is computed once for the two series.
-    Spectra without exact zeros in a half (the dense oracle's) keep every
-    line in both halves.
+    ``c0 = (S + A)/2`` and ``cN = (S - A)/2``, with ``S`` and ``A`` the
+    amplitudes of the symmetric and the antisymmetric half.  Each half is
+    synthesized once with the block algorithm of
+    :func:`~cavity_rpm.core.amplitude_from_lines`, both measured from the
+    centre ``c`` of the span of all lines, so the common phase
+    ``exp(-i c t)`` is computed once for the two series.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -44,21 +40,15 @@ def evolve(
         raise ValueError(f"t_max must be finite, got {t_max}")
     if t_max < dt:
         raise ValueError(f"t_max must be at least dt, got t_max={t_max}, dt={dt}")
-    energies = spec00.energies
-    if not np.array_equal(energies, specN0.energies):
-        raise ValueError(
-            "line counts or energies differ; spectra must come from the same decomposition"
-        )
     n_steps = int(math.floor(t_max / dt + 1e-12))
     times = np.arange(n_steps + 1) * dt
-    centre = 0.5 * (energies[0] + energies[-1])
+    lowest = min(sym.energies[0], anti.energies[0])
+    highest = max(sym.energies[-1], anti.energies[-1])
+    centre = 0.5 * (lowest + highest)
     # c0 = (S + A)/2 P and cN = (S - A)/2 P; halving P instead is exact
     phase = _common_phase(centre, times)
     phase *= 0.5
-    plus, minus = (
-        _block_sums(energies[w != 0], w[w != 0], times, centre)
-        for w in (spec00.weights + specN0.weights, spec00.weights - specN0.weights)
-    )
+    plus, minus = (_block_sums(s.energies, s.weights, times, centre) for s in (sym, anti))
     # few full-length buffers: cN takes S's place, and A and P go before the
     # series copy c0 and cN
     c0 = plus + minus

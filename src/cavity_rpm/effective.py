@@ -7,10 +7,11 @@ matrix: a square-root photon interaction on the diagonal and the bosonic
 tunneling amplitudes next to it.
 
 Line spectra come from the two exchange-parity chains of that matrix
-(:func:`parity_chain_spectra`): eigenvalues only, in O(N) memory.  The dense
-eigensolve with eigenvectors (:func:`diagonalize`, :func:`spectra_from_eigen`)
-is the oracle that the chains, and the projection recursion, are validated
-against.
+(:func:`parity_chain_spectra`), one per parity half: eigenvalues only, in
+O(N) memory.  The dense eigensolve with eigenvectors (:func:`diagonalize`,
+:func:`spectra_from_eigen`) is the oracle that the chains, and the
+projection recursion, are validated against.  It does not use parity: it
+gives the merged line table directly.
 """
 
 from __future__ import annotations
@@ -130,22 +131,19 @@ def diagonalize(h: SectorHamiltonian) -> EigenDecomposition:
     return EigenDecomposition(energies=energies, vectors=vectors)
 
 
-def spectra_from_eigen(decomp: EigenDecomposition) -> tuple[LineSpectrum, LineSpectrum]:
-    """Line spectra of the edge states from an eigen-decomposition.
+def spectra_from_eigen(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merged edge-state line table from an eigen-decomposition.
 
-    Diagonal weights are the squared first components of the eigenvectors;
-    cross weights pair the last component with the first.  Both channels are
-    merged with one shared degeneracy clustering so their line counts match.
+    The diagonal weights are the squared first components of the
+    eigenvectors, the cross weights the last component times the first.  Both
+    are merged with one degeneracy clustering, without reference to parity:
+    the table is the same ``(energies, weight00, weightN0)`` as
+    :func:`~cavity_rpm.core.edge_lines` builds from the parity halves.
     """
     first = decomp.vectors[0, :]
     last = decomp.vectors[-1, :]
-    w00 = first**2
-    wn0 = last * first
-    merged_e, (m00, mn0) = merge_degenerate_lines(decomp.energies, [w00, wn0])
-    return (
-        LineSpectrum(energies=merged_e, weights=m00, kind="diagonal"),
-        LineSpectrum(energies=merged_e, weights=mn0, kind="offdiagonal"),
-    )
+    energies, (w00, wn0) = merge_degenerate_lines(decomp.energies, [first**2, last * first])
+    return energies, w00, wn0
 
 
 def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -159,7 +157,7 @@ def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
         raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
-def _edge_lines(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _chain_lines(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of one chain and the squared first components of its
     eigenvectors, from the eigenvalues of the chain and of the chain
     without its first row (Golub & Welsch 1969):
@@ -169,8 +167,10 @@ def _edge_lines(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = _chain_eigenvalues(d[1:], e[1:])
     if not np.any(e[:1]):
         # the first state is decoupled (J = 0, or a chain of one state), so
-        # it is an eigenvector; the interlacing product would read 0/0
-        return np.concatenate([d[:1], mu]), np.concatenate([[1.0], np.zeros(mu.size)])
+        # it is an eigenvector; the interlacing product would read 0/0.  Sorted,
+        # with coinciding levels (all of them at g = 0) taken as one
+        lam, first = np.unique(np.concatenate([d[:1], mu]), return_index=True)
+        return lam, np.where(first == 0, 1.0, 0.0)
     lam = _chain_eigenvalues(d, e)
     n = lam.size
     weights = np.empty(n)
@@ -196,7 +196,7 @@ def _edge_lines(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectrum]:
-    """Line spectra of the edge states from the two exchange-parity chains.
+    """Line spectra of the edge state in the two exchange-parity halves.
 
     Cavity exchange (k <-> N-k) splits the sector into states symmetric and
     antisymmetric under the mirror, each a tridiagonal chain over the pairs
@@ -205,13 +205,12 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
     and the antisymmetric one ``diag[:M]``; for N = 2M+1 both chains are
     ``diag[:M+1]``, whose last entry is shifted by ``+- offdiag[M]``.
 
-    A chain eigenvector with first component u gives the full vector the
-    edge components u/sqrt(2) and +-u/sqrt(2), so each chain line carries
-    ``weight00 = u^2/2`` and ``weightN0 = +-u^2/2`` (+ on the symmetric
-    chain).  The squared first components come from eigenvalues alone, via
-    the interlacing product of each chain and the chain without its first
-    row.  Both chains' lines are merged with one degeneracy clustering, as in
-    :func:`spectra_from_eigen`.  Time O(N^2), memory O(N).
+    The edge state |N,0> is the sum of the chains' first states
+    (|N,0> +- |0,N>)/sqrt(2), over sqrt(2), so each half's weights are the
+    squared first components u^2 of its chain's eigenvectors.  They come from eigenvalues alone, via the
+    interlacing product of each chain and the chain without its first row.
+    Time O(N^2), memory O(N).  Returns ``(sym, anti)``, of ``N//2 + 1`` and
+    ``(N+1)//2`` lines; fewer where J = 0 and g = 0 make levels coincide.
 
     Raises
     ------
@@ -233,12 +232,5 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
     else:
         sym = (np.concatenate([d[:m], [d[m] + e[m]]]), e[:m])
         anti = (np.concatenate([d[:m], [d[m] - e[m]]]), e[:m])
-    (lam_sym, w_sym), (lam_anti, w_anti) = _edge_lines(*sym), _edge_lines(*anti)
-    merged_e, (w00, wn0) = merge_degenerate_lines(
-        np.concatenate([lam_sym, lam_anti]) + centre,
-        [np.concatenate([w_sym, w_anti]) / 2, np.concatenate([w_sym, -w_anti]) / 2],
-    )
-    return (
-        LineSpectrum(energies=merged_e, weights=w00, kind="diagonal"),
-        LineSpectrum(energies=merged_e, weights=wn0, kind="offdiagonal"),
-    )
+    (lam_sym, w_sym), (lam_anti, w_anti) = _chain_lines(*sym), _chain_lines(*anti)
+    return LineSpectrum(lam_sym + centre, w_sym), LineSpectrum(lam_anti + centre, w_anti)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AMPLITUDE_BOUND_TOL, AmplitudeSeries, LineSpectrum, ModelParams, _readonly
+from .core import AMPLITUDE_BOUND_TOL, AmplitudeSeries, ModelParams, _readonly, edge_lines
 from .dynamics import evolve
 from .effective import build_sector_hamiltonian, parity_chain_spectra
 
@@ -94,17 +94,19 @@ def noon_score(return_amp, transition_amp):
     return (c0 + cn) ** 2 / 2.0
 
 
-def default_sampling_window(params: ModelParams, spec00: LineSpectrum) -> tuple[float, float]:
+def default_sampling_window(params: ModelParams, energies) -> tuple[float, float]:
     """Default (t_max, dt) for histogram sampling.
 
     The window covers one thousand tunneling half-periods and the step
-    oversamples the fastest spectral beat (the full line span) twentyfold.
+    oversamples the fastest spectral beat (the full span of the ascending
+    line ``energies``, as :func:`~cavity_rpm.core.edge_lines` gives them)
+    twentyfold.
     """
     if params.j_tun > 0:
         t_max = 1000.0 * math.pi / params.j_tun
     else:
         t_max = 50.0
-    span = float(spec00.energies[-1] - spec00.energies[0])
+    span = float(energies[-1] - energies[0])
     if span > 0:
         dt = 2.0 * math.pi / (20.0 * span)
     else:
@@ -150,13 +152,13 @@ def noon_feasibility(
 ) -> NoonFeasibility:
     """Scan the evolved dynamics and summarize N00N-state reachability.
 
-    Evolves the sector's parity-chain line spectra over the window and
-    summarizes it with :func:`score_samples`.
+    Evolves the sector's parity-chain halves over the window and summarizes
+    it with :func:`score_samples`.
     """
-    spec00, specn0 = parity_chain_spectra(build_sector_hamiltonian(params))
+    halves = parity_chain_spectra(build_sector_hamiltonian(params))
     if t_max is None or dt is None:
-        auto_tmax, auto_dt = default_sampling_window(params, spec00)
+        auto_tmax, auto_dt = default_sampling_window(params, edge_lines(*halves)[0])
         t_max = auto_tmax if t_max is None else t_max
         dt = auto_dt if dt is None else dt
-    ret, tra = evolve(spec00, specn0, t_max, dt)
+    ret, tra = evolve(*halves, t_max, dt)
     return score_samples(ret, tra, threshold)

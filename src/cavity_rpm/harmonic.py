@@ -26,29 +26,32 @@ def _require_even(n: int):
 
 
 def harmonic_line_spectra(params: ModelParams) -> tuple[LineSpectrum, LineSpectrum]:
-    """Binomial line spectra of the N-photon sector at g = 0.
+    """Binomial line spectra of the two parity halves of the N-photon sector at g = 0.
 
-    Levels sit at ``omega0 N + J (N - 2k)`` with diagonal weight
-    ``C(N,k) / 2^N`` and cross weight ``(-1)^k C(N,k) / 2^N``.  Each weight
-    is the correctly rounded quotient of exact integers, so no intermediate
-    overflows at large N; weights below double range round to zero.
+    Level k sits at ``omega0 N + J (N - 2k)`` with edge weight
+    ``C(N,k) / 2^N`` and cross weight ``(-1)^k C(N,k) / 2^N``, so even k
+    form the symmetric half and odd k the antisymmetric one, each line with
+    weight ``2 C(N,k) / 2^N``.  Each ``C(N,k) / 2^N`` is the correctly
+    rounded quotient of exact integers, so no intermediate overflows at large
+    N; weights below double range round to zero.  At J = 0 each half's
+    levels coincide and merge into one line.
     """
     n = params.n_photons
     _require_even(n)
     k = np.arange(n + 1)
     energies = params.omega0 * n + params.j_tun * (n - 2.0 * k)
-    w00 = np.empty(n + 1)
+    weights = np.empty(n + 1)
     total = 1 << n
     binomial = 1
     for i in range(n + 1):
-        w00[i] = binomial / total
+        # doubled after the quotient, so that halving it back is exact
+        weights[i] = 2.0 * (binomial / total)
         binomial = binomial * (n - i) // (i + 1)
-    w10 = w00 * (-1.0) ** k
-    merged_e, (m00, m10) = merge_degenerate_lines(energies, [w00, w10])
-    return (
-        LineSpectrum(energies=merged_e, weights=m00, kind="diagonal"),
-        LineSpectrum(energies=merged_e, weights=m10, kind="offdiagonal"),
-    )
+    halves = []
+    for parity in (0, 1):
+        merged_e, (w,) = merge_degenerate_lines(energies[parity::2], [weights[parity::2]])
+        halves.append(LineSpectrum(merged_e, w))
+    return tuple(halves)
 
 
 def harmonic_amplitudes(params: ModelParams, times) -> tuple[AmplitudeSeries, AmplitudeSeries]:

@@ -16,7 +16,6 @@ from .core import (
     LineSpectrum,
     ModelParams,
     UnsupportedModelError,
-    merge_degenerate_lines,
 )
 
 __all__ = [
@@ -74,27 +73,21 @@ def rabi_amplitudes(params: ModelParams, times) -> tuple[AmplitudeSeries, Amplit
 
 def rabi_line_spectra(params: ModelParams) -> tuple[LineSpectrum, LineSpectrum]:
     """Line spectra of the resonant Rabi problem for the initial state |n, ground>,
-    with ``n = params.n_photons``.
+    with ``n = params.n_photons``, as two halves of one line each.
 
-    The initial state splits equally over the two dressed levels below it,
-    so the diagonal density carries weight 1/2 at each of
-    ``omega0 (n - 1/2) -+ 2 g sqrt(n)`` and the cross density onto
-    |n-1, excited> carries weight -+ 1/2 at the same energies.
+    The dressed levels ``omega0 (n - 1/2) -+ 2 g sqrt(n)`` are the even and
+    odd combinations of |n, ground> and |n-1, excited>, the roles that the
+    symmetric and antisymmetric halves play for two cavities: the initial
+    state splits equally over them, with cross weight ``+-1/2`` onto
+    |n-1, excited>.  The upper level is the symmetric one for g >= 0.
     """
     if params.delta != 0.0:
         raise UnsupportedModelError("Rabi line spectra require zero detuning")
     n = params.n_photons
-    e_minus = jc_energy(params, n - 1, -1)
-    e_plus = jc_energy(params, n - 1, +1)
-    energies = [e_minus, e_plus]
-    # sign(g) tracks which dressed branch is the symmetric combination
-    s = 1.0 if params.g >= 0 else -1.0
-    merged_e, (w00, w10) = merge_degenerate_lines(
-        energies, [[0.5, 0.5], [-0.5 * s, 0.5 * s]]
-    )
-    rho00 = LineSpectrum(energies=merged_e, weights=w00, kind="diagonal")
-    rho10 = LineSpectrum(energies=merged_e, weights=w10, kind="offdiagonal")
-    return rho00, rho10
+    sym, anti = jc_energy(params, n - 1, +1), jc_energy(params, n - 1, -1)
+    if params.g < 0:
+        sym, anti = anti, sym
+    return LineSpectrum([sym], [1.0]), LineSpectrum([anti], [1.0])
 
 
 def dressed_photon_matrix_element(op_kind: str, k: int, branch_out: int, branch_in: int) -> float:

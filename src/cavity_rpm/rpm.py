@@ -69,16 +69,11 @@ def _check_even(params: ModelParams):
 
 
 def _descend(params: ModelParams, z) -> Iterator[tuple[int, complex, complex]]:
-    """The one recursion loop behind :func:`rpm_walk` and :func:`rpm_resolvent`.
-
-    ``z`` is a Python ``complex`` or a NumPy array; the arithmetic is that
-    of its type, so a scalar walk rounds as Python complex numbers do.
-    """
+    """The one recursion loop behind :func:`rpm_walk` and :func:`rpm_resolvent`,
+    over a NumPy complex scalar or array ``z``."""
     _check_even(params)
     if np.any(np.imag(z) == 0.0):
         raise ValueError("evaluate off the real axis: poles live on it")
-    # a NumPy reduction on a scalar costs more than the step it checks
-    smallest = abs if np.ndim(z) == 0 else (lambda x: np.min(np.abs(x)))
     y = z - params.n_photons * params.omega0
     a = b = 1.0 / (y - _pair_interaction(params, 0))
     yield 0, a, b
@@ -87,7 +82,7 @@ def _descend(params: ModelParams, z) -> Iterator[tuple[int, complex, complex]]:
         d = y - _pair_interaction(params, k + 1) - t2 * a
         bb = t2 * b
         den = (d - bb) * (d + bb)
-        if smallest(den) < DENOMINATOR_FLOOR:
+        if np.min(np.abs(den)) < DENOMINATOR_FLOOR:
             raise NearPoleError(
                 f"resolvent pole hit at depth {k + 1}; "
                 "move z further off the real axis",
@@ -103,10 +98,11 @@ def rpm_walk(params: ModelParams, z: complex) -> Iterator[tuple[int, complex, co
     ``a`` is the diagonal resolvent element on either member of pair ``k``
     of the chain truncated at that pair; ``b`` is the element crossing the
     pair.  At depth 0 both equal the center-state resolvent 1/(z - f(0)).
-    Scalar reference path used for validation and failure localization;
-    grid evaluation goes through :func:`rpm_resolvent`.
+    Used for validation and failure localization; grid evaluation goes
+    through :func:`rpm_resolvent`.
     """
-    return _descend(params, complex(z))
+    for k, a, b in _descend(params, np.complex128(z)):
+        yield k, complex(a), complex(b)
 
 
 def rpm_resolvent(params: ModelParams, z):
@@ -135,9 +131,11 @@ def rpm_resolvent(params: ModelParams, z):
         about ``|z|^2``, overflowed.
     """
     zs = np.asarray(z, dtype=complex)
-    # the last depth is the edge pair
-    for _, a, b in _descend(params, zs):
-        pass
+    # the last depth is the edge pair.  Far from the spectrum a pair
+    # denominator can overflow, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, a, b in _descend(params, zs):
+            pass
     # checked once on the result: a non-finite value carries to the last depth;
     # off the real axis a is never 0, but reads 0 where its denominator overflowed
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(a != 0)):

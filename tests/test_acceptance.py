@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 import cavity_rpm as cr
+from cavity_rpm.core import LineSpectrum
 
 RUNTIMES: dict[str, float] = {}
 
@@ -29,7 +30,12 @@ def report(capsys, label, passed, detail, elapsed, budget):
 
 
 def edge_spectra(params):
+    """The dense oracle's merged line table (energies, weight00, weightN0)."""
     return cr.spectra_from_eigen(cr.diagonalize(cr.build_sector_hamiltonian(params)))
+
+
+def chain_halves(params):
+    return cr.parity_chain_spectra(cr.build_sector_hamiltonian(params))
 
 
 def test_criterion_1_rabi_closed_form(capsys):
@@ -56,15 +62,16 @@ def test_criterion_2_harmonic_baseline(capsys):
     for n in range(2, 21, 2):
         # dyadic rate: level positions are exact, spacing must be == 2J
         dyadic = cr.ModelParams(n_photons=n, omega0=0.0, j_tun=0.5)
-        s00, s10 = cr.harmonic_line_spectra(dyadic)
-        spacing_exact &= bool(np.all(np.diff(s00.energies) == 1.0))
+        energies, w00, _ = cr.edge_lines(*cr.harmonic_line_spectra(dyadic))
+        spacing_exact &= bool(np.all(np.diff(energies) == 1.0))
         expected = np.array([math.comb(n, k) for k in range(n, -1, -1)]) / 2.0**n
-        binomial_exact &= bool(np.array_equal(s00.weights, expected))
+        binomial_exact &= bool(np.array_equal(w00, expected))
         generic = cr.ModelParams(n_photons=n, omega0=1.0, j_tun=0.8)
-        g00, g10 = cr.harmonic_line_spectra(generic)
+        halves = cr.harmonic_line_spectra(generic)
+        energies, _, _ = cr.edge_lines(*halves)
         spacing_generic = max(
-            spacing_generic, float(np.max(np.abs(np.diff(g00.energies) - 1.6))))
-        ret, tra = cr.evolve(g00, g10, 20.0, 0.01)
+            spacing_generic, float(np.max(np.abs(np.diff(energies) - 1.6))))
+        ret, tra = cr.evolve(*halves, 20.0, 0.01)
         ret_c, tra_c = cr.harmonic_amplitudes(generic, ret.times)
         worst_amp = max(worst_amp, float(np.max(np.abs(ret.values - ret_c.values))))
         worst_amp = max(worst_amp, float(np.max(np.abs(tra.values - tra_c.values))))
@@ -140,21 +147,20 @@ def test_criterion_5_zero_tunneling_degeneracy(capsys):
            f"double degeneracy, max deviation {worst:.2e} (tol 1e-9)", elapsed, 5.0)
 
 
-def _figure_scale_spectra():
-    params = cr.ModelParams(n_photons=100, omega0=1.0, g=1.2, j_tun=0.8)
-    return params, edge_spectra(params)
+FIGURE = cr.ModelParams(n_photons=100, omega0=1.0, g=1.2, j_tun=0.8)
 
 
 def test_criterion_6a_lifted_degeneracies(capsys):
     start = time.perf_counter()
-    params, (spec00, _) = _figure_scale_spectra()
-    grid = np.linspace(spec00.energies[0] - 1.0, spec00.energies[-1] + 1.0, 120001)
-    rho = cr.smoothed_density(spec00, grid, 0.01)
+    halves = chain_halves(FIGURE)
+    energies, _, _ = cr.edge_lines(*halves)
+    grid = np.linspace(energies[0] - 1.0, energies[-1] + 1.0, 120001)
+    rho, _ = cr.smoothed_density(*halves, grid, 0.01)
     peaks = int(np.sum((rho[1:-1] > rho[:-2]) & (rho[1:-1] > rho[2:])))
-    gap_var = float(np.var(np.diff(spec00.energies)))
+    gap_var = float(np.var(np.diff(energies)))
     harmonic = cr.ModelParams(n_photons=100, omega0=1.0, g=0.0, j_tun=0.8)
-    h00, _ = cr.harmonic_line_spectra(harmonic)
-    harmonic_var = float(np.var(np.diff(h00.energies)))
+    h_energies, _, _ = cr.edge_lines(*cr.harmonic_line_spectra(harmonic))
+    harmonic_var = float(np.var(np.diff(h_energies)))
     elapsed = time.perf_counter() - start
     passed = peaks > 50 and gap_var > 0.0 and harmonic_var < 1e-24
     report(capsys, "6a", passed,
@@ -166,7 +172,9 @@ def test_criterion_6b_early_return_revival(capsys):
     # The name predates the derivation in README: in this model the square-root
     # interaction delays the revival past pi/J by a predictable amount.
     start = time.perf_counter()
-    params, (spec00, _) = _figure_scale_spectra()
+    params = FIGURE
+    # the return amplitude from the dense oracle's diagonal lines
+    spec00 = LineSpectrum(*edge_spectra(params)[:2])
     half_period = math.pi / params.j_tun
     delay_cl = (4.0 * (1.0 - math.log(2.0)) * params.g**2
                 / (params.j_tun**3 * params.n_photons))
@@ -204,15 +212,14 @@ def test_criterion_6b_early_return_revival(capsys):
 
 def test_criterion_6c_first_transfer_time(capsys):
     start = time.perf_counter()
-    params, (spec00, specn0) = _figure_scale_spectra()
+    params = FIGURE
     dt = 0.002
     lo = 0.5 * math.pi / params.j_tun - dt
     hi = 2.0 * math.pi / params.j_tun + dt
-    _, tra = cr.evolve(spec00, specn0, 10.0, dt)
+    _, tra = cr.evolve(*chain_halves(params), 10.0, dt)
     t_anh = cr.first_transfer_time(tra, 0.5)
     harmonic = cr.ModelParams(n_photons=100, omega0=1.0, g=0.0, j_tun=0.8)
-    h00, h10 = cr.harmonic_line_spectra(harmonic)
-    _, htra = cr.evolve(h00, h10, 10.0, dt)
+    _, htra = cr.evolve(*cr.harmonic_line_spectra(harmonic), 10.0, dt)
     t_har = cr.first_transfer_time(htra, 0.5)
     elapsed = time.perf_counter() - start
     passed = (t_anh is not None and lo <= t_anh <= hi
@@ -225,8 +232,7 @@ def test_criterion_6c_first_transfer_time(capsys):
 
 def test_criterion_6d_noon_histogram_mass(capsys):
     start = time.perf_counter()
-    params, (spec00, specn0) = _figure_scale_spectra()
-    ret, tra = cr.evolve(spec00, specn0, 2000.0, 0.01)
+    ret, tra = cr.evolve(*chain_halves(FIGURE), 2000.0, 0.01)
     hist = cr.sample_joint(ret, tra, bins=50)
     centers = hist.bin_centers()
     # both edge probabilities above 0.05, i.e. both moduli above sqrt(0.05)
@@ -235,8 +241,7 @@ def test_criterion_6d_noon_histogram_mass(capsys):
     mass = float(hist.bins[region].sum())
     occupied = int(np.count_nonzero(hist.bins[region]))
     harmonic = cr.ModelParams(n_photons=6, omega0=1.0, g=0.0, j_tun=0.8)
-    h00, h10 = cr.harmonic_line_spectra(harmonic)
-    hret, htra = cr.evolve(h00, h10, 2000.0, 0.01)
+    hret, htra = cr.evolve(*cr.harmonic_line_spectra(harmonic), 2000.0, 0.01)
     h_hist = cr.sample_joint(hret, htra, bins=50)
     h_mass = float(h_hist.bins[region].sum())
     elapsed = time.perf_counter() - start
@@ -262,29 +267,24 @@ def test_criterion_7_property_suite(capsys):
             j_tun=float(rng.uniform(0.1, 1.0)),
             sigma=int(rng.choice([1, -1])),
         )
-        spec00, specn0 = edge_spectra(params)
-        worst["completeness"] = max(
-            worst["completeness"], abs(float(np.sum(spec00.weights)) - 1.0))
-        ret, tra = cr.evolve(spec00, specn0, 20.0, 0.02)
+        energies, w00, wn0 = edge_spectra(params)
+        worst["completeness"] = max(worst["completeness"], abs(float(np.sum(w00)) - 1.0))
+        ret, tra = cr.evolve(*chain_halves(params), 20.0, 0.02)
         total = np.abs(ret.values) ** 2 + np.abs(tra.values) ** 2
         worst["unitary"] = max(worst["unitary"], float(np.max(total)) - 1.0)
-        span = max(1.0, float(spec00.energies[-1] - spec00.energies[0]))
-        z = (rng.uniform(spec00.energies[0] - 1, spec00.energies[-1] + 1, 12)
+        span = max(1.0, float(energies[-1] - energies[0]))
+        z = (rng.uniform(energies[0] - 1, energies[-1] + 1, 12)
              - 1j * rng.uniform(0.01, span, 12))
         a, _ = cr.rpm_resolvent(params, z)
         worst["herglotz"] = max(worst["herglotz"], -float(np.min(a.imag)))
         free = cr.ModelParams(n_photons=n, omega0=params.omega0, g=0.0,
                               j_tun=params.j_tun, sigma=params.sigma)
         grid = np.linspace(-2.0 * n, 2.0 * n, 301) + free.omega0 * n
-        rho_r, rhon_r = cr.rpm_spectra(free, grid, 0.05)
-        f00, f10 = cr.harmonic_line_spectra(free)
-        worst["harmonic_limit"] = max(
-            worst["harmonic_limit"],
-            float(np.max(np.abs(rho_r - cr.smoothed_density(f00, grid, 0.05)))),
-            float(np.max(np.abs(rhon_r - np.real(cr.smoothed_density(f10, grid, 0.05))))),
-        )
-        wn0 = np.real(specn0.weights)
-        parity_gap = np.minimum(np.abs(wn0 - spec00.weights), np.abs(wn0 + spec00.weights))
+        rho_l = cr.smoothed_density(*cr.harmonic_line_spectra(free), grid, 0.05)
+        worst["harmonic_limit"] = max(worst["harmonic_limit"], *(
+            float(np.max(np.abs(r - l)))
+            for r, l in zip(cr.rpm_spectra(free, grid, 0.05), rho_l)))
+        parity_gap = np.minimum(np.abs(wn0 - w00), np.abs(wn0 + w00))
         worst["parity"] = max(worst["parity"], float(np.max(parity_gap)))
     elapsed = time.perf_counter() - start
     passed = (worst["completeness"] <= 1e-10 and worst["unitary"] <= 1e-9

@@ -107,15 +107,17 @@ def test_harmonic_spectrum_beyond_n_1023(tmp_path):
     assert sidecar["diagnostics"]["harmonic"]["zero_weight_lines"] == 396
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
+def run_python(*args):
+    """A fresh interpreter with this package on its path."""
     src = str(Path(cavity_rpm.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cavity_rpm.cli; print('scipy.linalg' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        timeout=60, check=True,
-    )
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    probe = run_python("-c", "import sys, cavity_rpm.cli; print('scipy.linalg' in sys.modules)")
+    assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "False"
 
 
@@ -289,6 +291,17 @@ def test_near_pole_evaluation_exits_3(tmp_path):
                     "--epsilon", 1e-320, "--out", tmp_path)
     assert result.exit_code == 3
     assert "pole" in result.output
+
+
+def test_recursion_overflow_exits_3_with_only_the_error_line(tmp_path):
+    """Far from the spectrum the pair denominators overflow; the run reports it
+    in its own error line, with no NumPy warning printed before it."""
+    probe = run_python("-m", "cavity_rpm.cli", "spectrum", "--model", "anharmonic-rpm",
+                       "--N", "10", "--epsilon", "1e200", "--out", str(tmp_path))
+    assert probe.returncode == 3
+    assert probe.stderr.splitlines() == [
+        "error: the pair recursion overflowed; evaluate nearer the spectrum"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_passes_by_default(tmp_path):

@@ -19,6 +19,7 @@ from cavity_rpm.core import (
     LineSpectrum,
     ModelParams,
     amplitude_from_lines,
+    edge_lines,
     merge_degenerate_lines,
     resolvent_from_lines,
     smoothed_density,
@@ -144,7 +145,7 @@ def test_merge_of_one_cluster_is_bit_identical_to_the_level_loop():
 
 _BROADENING_PROBE = """
 import numpy as np
-from cavity_rpm.core import LineSpectrum, smoothed_density
+from cavity_rpm.core import LineSpectrum, edge_lines, smoothed_density
 
 rng = np.random.default_rng(5)
 eps = 0.01
@@ -153,20 +154,18 @@ eps = 0.01
 for points, lines in ((1, 3), (17, 5), (1297, 101), (2000, 101), (1985, 1001),
                       (2001, 1001), (333, 10001), (334, 10001)):
     energies = np.sort(rng.uniform(-50, 50, lines)) + 1e-3 * np.arange(lines)
-    weights = rng.uniform(0, 1, lines)
+    halves = []
+    for half in (energies[0::2], energies[1::2]):
+        weights = rng.uniform(0, 1, half.size)
+        halves.append(LineSpectrum(half, weights / weights.sum()))
     grid = np.linspace(-60, 60, points)
-    for spec in (
-        LineSpectrum(energies, weights / weights.sum(), "diagonal"),
-        LineSpectrum(energies, rng.uniform(-1, 1, lines) + 1j * rng.uniform(-1, 1, lines),
-                     "offdiagonal"),
-    ):
-        lorentz = eps / (eps**2 + (grid[:, None] - spec.energies[None, :]) ** 2)
-        direct = lorentz @ spec.weights / np.pi
-        if spec.kind == "diagonal":
-            direct = np.real(direct)
-        got = smoothed_density(spec, grid, eps)
-        assert got.dtype == direct.dtype, (points, lines, spec.kind)
-        assert got.tobytes() == direct.tobytes(), (points, lines, spec.kind)
+    table, w00, wn0 = edge_lines(*halves)
+    lorentz = eps / (eps**2 + (grid[:, None] - table[None, :]) ** 2)
+    # the cross density as the complex product that smoothed_density forms
+    direct = (lorentz @ w00 / np.pi, np.real(lorentz @ wn0.astype(complex) / np.pi))
+    for got, want in zip(smoothed_density(*halves, grid, eps), direct):
+        assert got.dtype == want.dtype == float, (points, lines)
+        assert got.tobytes() == want.tobytes(), (points, lines)
 print("identical")
 """
 
@@ -187,42 +186,56 @@ def test_blocked_broadening_is_bit_identical_to_one_product():
 
 def test_line_spectrum_invariants():
     with pytest.raises(ValueError, match="sum to 1"):
-        LineSpectrum(energies=[0.0, 1.0], weights=[0.5, 0.6], kind="diagonal")
+        LineSpectrum(energies=[0.0, 1.0], weights=[0.5, 0.6])
     with pytest.raises(ValueError, match="non-negative"):
-        LineSpectrum(energies=[0.0, 1.0], weights=[-0.5, 1.5], kind="diagonal")
+        LineSpectrum(energies=[0.0, 1.0], weights=[-0.5, 1.5])
     with pytest.raises(ValueError, match="ascending"):
-        LineSpectrum(energies=[1.0, 1.0], weights=[0.5, 0.5], kind="diagonal")
-    with pytest.raises(ValueError, match="kind"):
-        LineSpectrum(energies=[0.0], weights=[1.0], kind="mixed")
-    # signed weights are fine off the diagonal
-    spec = LineSpectrum(energies=[0.0, 1.0], weights=[-0.5, 0.5], kind="offdiagonal")
+        LineSpectrum(energies=[1.0, 1.0], weights=[0.5, 0.5])
+    with pytest.raises(ValueError, match="at least one"):
+        LineSpectrum(energies=[], weights=[])
+    spec = LineSpectrum(energies=[0.0, 1.0], weights=[0.25, 0.75])
     assert len(spec) == 2
-    assert spec.weights[0] == -0.5
+    assert spec.weights.dtype == float
 
 
 def test_line_spectrum_arrays_are_readonly():
-    spec = LineSpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5], kind="diagonal")
+    spec = LineSpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5])
     with pytest.raises(ValueError):
         spec.energies[0] = 7.0
 
 
+def test_edge_lines_halve_the_weights_and_merge_across_halves():
+    sym = LineSpectrum(energies=[-1.0, 2.0], weights=[0.25, 0.75])
+    anti = LineSpectrum(energies=[0.5, 2.0 + 1e-12], weights=[0.5, 0.5])
+    energies, w00, wn0 = edge_lines(sym, anti)
+    np.testing.assert_allclose(energies, [-1.0, 0.5, 2.0], rtol=0, atol=1e-11)
+    assert w00.tolist() == [0.125, 0.25, 0.625]
+    # the lines at 2 and 2 + 1e-12 merge: +0.75/2 and -0.5/2
+    assert wn0.tolist() == [0.125, -0.25, 0.125]
+
+
 def test_smoothed_density_single_lorentzian():
-    spec = LineSpectrum(energies=[2.0], weights=[1.0], kind="diagonal")
+    spec = LineSpectrum(energies=[2.0], weights=[1.0])
     eps = 0.03
     grid = np.linspace(-40.0, 44.0, 200001)
-    rho = smoothed_density(spec, grid, eps)
+    # the same line in both halves: the edge state alone, no cross density
+    rho, rhon = smoothed_density(spec, spec, grid, eps)
     assert rho[np.argmin(np.abs(grid - 2.0))] == pytest.approx(1.0 / (np.pi * eps))
+    assert np.all(rhon == 0)
     # the tails integrate to nearly unit mass
     assert np.trapezoid(rho, grid) == pytest.approx(1.0, abs=1e-3)
+    # one line per half at different energies: rhoN0 changes sign between them
+    _, rhon = smoothed_density(spec, LineSpectrum([-2.0], [1.0]), grid, eps)
+    assert rhon[np.argmin(np.abs(grid - 2.0))] > 0 > rhon[np.argmin(np.abs(grid + 2.0))]
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="epsilon"):
-            smoothed_density(spec, grid, bad)
+            smoothed_density(spec, spec, grid, bad)
     with pytest.raises(ValueError):
-        smoothed_density(spec, [], eps)
+        smoothed_density(spec, spec, [], eps)
 
 
 def test_amplitude_from_lines_matches_cosine():
-    spec = LineSpectrum(energies=[-0.8, 0.8], weights=[0.5, 0.5], kind="diagonal")
+    spec = LineSpectrum(energies=[-0.8, 0.8], weights=[0.5, 0.5])
     t = np.linspace(0.0, 20.0, 501)
     series = amplitude_from_lines(spec, t)
     np.testing.assert_allclose(series.values, np.cos(0.8 * t), atol=1e-12)
@@ -230,13 +243,13 @@ def test_amplitude_from_lines_matches_cosine():
 
 @st.composite
 def _lines_and_grid(draw):
-    """A random line spectrum with sum |w| = 1 and a uniform time grid."""
+    """A random line spectrum and a uniform time grid."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     centre = draw(st.floats(-200.0, 200.0))
     spread = draw(st.floats(1e-3, 100.0))
     energies = np.unique(centre + spread * rng.uniform(-1.0, 1.0, draw(st.integers(1, 60))))
-    weights = rng.normal(size=energies.size) + 1j * rng.normal(size=energies.size)
-    weights /= np.sum(np.abs(weights))
+    weights = rng.uniform(0.0, 1.0, energies.size) + 1e-3
+    weights /= np.sum(weights)
     n = draw(st.one_of(st.sampled_from([1, 2, 4, 9, 256, 1024]), st.integers(1, 3000)))
     if draw(st.booleans()):
         start = draw(st.floats(-500.0, 500.0))
@@ -252,7 +265,7 @@ def test_amplitude_from_lines_matches_direct_sum(case):
     """The block synthesis agrees with the direct sum to its rounding scale,
     for |E t| up to about 3e5."""
     energies, weights, times = case
-    spec = LineSpectrum(energies=energies, weights=weights, kind="offdiagonal")
+    spec = LineSpectrum(energies=energies, weights=weights)
     got = amplitude_from_lines(spec, times).values
     direct = np.exp(-1j * np.outer(times, energies)) @ weights
     # phase rounding grows with |E t|; the L-term sums add a few eps
@@ -266,7 +279,7 @@ def test_amplitude_from_lines_carries_the_common_phase_exactly():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.prec = 120
     energy = 123.456789
-    spec = LineSpectrum(energies=[energy], weights=[1.0], kind="diagonal")
+    spec = LineSpectrum(energies=[energy], weights=[1.0])
     t = np.arange(20001) * 0.0999
     got = amplitude_from_lines(spec, t).values[::500]
     exact = [complex(mpmath.expj(-mpmath.mpf(energy) * mpmath.mpf(x))) for x in t[::500]]
@@ -274,7 +287,7 @@ def test_amplitude_from_lines_carries_the_common_phase_exactly():
 
 
 def test_amplitude_from_lines_rejects_grid_uniform_only_to_1e_9():
-    spec = LineSpectrum(energies=[-0.8, 0.8], weights=[0.5, 0.5], kind="diagonal")
+    spec = LineSpectrum(energies=[-0.8, 0.8], weights=[0.5, 0.5])
     t = np.linspace(0.0, 20.0, 501)
     t[250] += 1e-12
     with pytest.raises(ValueError, match="uniform"):
@@ -293,7 +306,7 @@ def test_amplitude_series_invariants():
 
 
 def test_resolvent_from_lines_simple_pole():
-    spec = LineSpectrum(energies=[1.5], weights=[1.0], kind="diagonal")
+    spec = LineSpectrum(energies=[1.5], weights=[1.0])
     sample = resolvent_from_lines(spec, 2.0 + 1.0j)
     assert sample == pytest.approx(1.0 / (0.5 + 1.0j))
     # Herglotz: below the real axis the diagonal element has Im >= 0
@@ -307,7 +320,7 @@ def test_time_average_recovers_summed_square_weights():
     energies = np.sort(rng.uniform(-4.0, 4.0, 9))
     w = rng.uniform(0.1, 1.0, 9)
     w /= w.sum()
-    spec = LineSpectrum(energies=energies, weights=w, kind="diagonal")
+    spec = LineSpectrum(energies=energies, weights=w)
     t = np.arange(0.0, 10000.0, 0.05)
     series = amplitude_from_lines(spec, t)
     mean_sq = float(np.mean(np.abs(series.values) ** 2))

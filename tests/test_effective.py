@@ -5,10 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cavity_rpm.core import ModelParams, NumericalFailureError, merge_degenerate_lines
+from cavity_rpm.core import (
+    LineSpectrum,
+    ModelParams,
+    NumericalFailureError,
+    edge_lines,
+    merge_degenerate_lines,
+)
 from cavity_rpm.effective import (
     EigenDecomposition,
     SectorHamiltonian,
@@ -98,9 +104,8 @@ def test_weights_do_not_depend_on_eigenvector_signs():
             ModelParams(n_photons=n, omega0=1.0, g=g, j_tun=j)))
         signs = np.where(rng.random(n + 1) < 0.5, -1.0, 1.0)
         flipped = EigenDecomposition(energies=decomp.energies, vectors=decomp.vectors * signs)
-        for spec, ref in zip(spectra_from_eigen(flipped), spectra_from_eigen(decomp)):
-            assert spec.energies.tobytes() == ref.energies.tobytes()
-            assert spec.weights.tobytes() == ref.weights.tobytes()
+        for column, ref in zip(spectra_from_eigen(flipped), spectra_from_eigen(decomp)):
+            assert column.tobytes() == ref.tobytes()
 
 
 def test_eigenvalues_match_dense_solver():
@@ -122,48 +127,49 @@ def test_zero_tunneling_pairs_levels():
 def test_parity_of_weights():
     """Exchange parity forces |cross weight| = diagonal weight line by line."""
     params = ModelParams(n_photons=12, omega0=1.0, g=1.2, j_tun=0.8)
-    spec00, specn0 = spectra_from_eigen(diagonalize(build_sector_hamiltonian(params)))
-    wn0 = np.real(specn0.weights)
-    defect = np.minimum(np.abs(wn0 - spec00.weights), np.abs(wn0 + spec00.weights))
+    _, w00, wn0 = spectra_from_eigen(diagonalize(build_sector_hamiltonian(params)))
+    defect = np.minimum(np.abs(wn0 - w00), np.abs(wn0 + w00))
     assert float(np.max(defect)) < 1e-10
 
 
 def test_zero_coupling_reduces_to_harmonic():
     for n in (2, 8):
         params = ModelParams(n_photons=n, omega0=1.0, g=0.0, j_tun=0.8)
-        e00, e10 = spectra_from_eigen(diagonalize(build_sector_hamiltonian(params)))
-        h00, h10 = harmonic_line_spectra(params)
-        np.testing.assert_allclose(e00.energies, h00.energies, atol=1e-12)
-        np.testing.assert_allclose(e00.weights, h00.weights, atol=1e-12)
-        np.testing.assert_allclose(np.real(e10.weights), np.real(h10.weights), atol=1e-12)
+        oracle = spectra_from_eigen(diagonalize(build_sector_hamiltonian(params)))
+        closed = edge_lines(*harmonic_line_spectra(params))
+        for column, ref in zip(oracle, closed):
+            np.testing.assert_allclose(column, ref, atol=1e-12)
 
 
 def test_fully_degenerate_sector_gives_single_line():
     params = ModelParams(n_photons=4, omega0=1.0, g=0.0, j_tun=0.0)
-    spec00, specn0 = spectra_from_eigen(diagonalize(build_sector_hamiltonian(params)))
-    assert len(spec00) == 1
-    assert spec00.weights[0] == pytest.approx(1.0)
-    assert abs(specn0.weights[0]) < 1e-14
+    energies, w00, wn0 = spectra_from_eigen(diagonalize(build_sector_hamiltonian(params)))
+    assert energies.size == 1
+    assert w00[0] == pytest.approx(1.0)
+    assert abs(wn0[0]) < 1e-14
+    # the chains give one line per half, and their table the same single line
+    sym, anti = parity_chain_spectra(build_sector_hamiltonian(params))
+    assert len(sym) == len(anti) == 1
+    assert [column.tolist() for column in edge_lines(sym, anti)] == [[4.0], [1.0], [0.0]]
 
 
 def _assert_chains_match_oracle(h):
-    """Parity-chain lines against the dense eigenvectors' lines.
+    """The table of the parity-chain halves against the dense eigenvectors' table.
 
     Energies agree to 1e-12 of the matrix scale.  Weights agree to 1e-12
     plus the error of the oracle itself: a dense eigenvector is off by about
     eps * scale / gap from its neighbours, which near a parity doublet is far
     above 1e-12 (see test_chains_resolve_doublets_the_dense_vectors_mix).
     """
-    oracle00, oraclen0 = spectra_from_eigen(diagonalize(h))
-    chain00, chainn0 = parity_chain_spectra(h)
-    assert len(chain00) == len(oracle00)
+    oracle_e, oracle00, oraclen0 = spectra_from_eigen(diagonalize(h))
+    chain_e, chain00, chainn0 = edge_lines(*parity_chain_spectra(h))
+    assert chain_e.size == oracle_e.size
     scale = 1.0 + np.max(np.abs(h.diag)) + 2.0 * np.max(np.abs(h.offdiag), initial=0.0)
-    np.testing.assert_allclose(chain00.energies, oracle00.energies, rtol=0, atol=1e-12 * scale)
-    e = oracle00.energies
-    gap = np.minimum(np.diff(e, prepend=-np.inf), np.diff(e, append=np.inf))
+    np.testing.assert_allclose(chain_e, oracle_e, rtol=0, atol=1e-12 * scale)
+    gap = np.minimum(np.diff(oracle_e, prepend=-np.inf), np.diff(oracle_e, append=np.inf))
     tol = 1e-12 + np.finfo(float).eps * scale / gap
-    assert np.all(np.abs(chain00.weights - oracle00.weights) <= tol)
-    assert np.all(np.abs(chainn0.weights - oraclen0.weights) <= tol)
+    assert np.all(np.abs(chain00 - oracle00) <= tol)
+    assert np.all(np.abs(chainn0 - oraclen0) <= tol)
     return chain00, chainn0
 
 
@@ -189,8 +195,8 @@ def test_parity_chains_small_and_decoupled_cases(n, g, j):
     chain00, chainn0 = _assert_chains_match_oracle(build_sector_hamiltonian(params))
     if j == 0:
         # the edge state is an eigenvector: all weight on one line, none across
-        assert np.count_nonzero(chain00.weights) == 1
-        np.testing.assert_array_equal(chainn0.weights, 0)
+        assert np.count_nonzero(chain00) == 1
+        np.testing.assert_array_equal(chainn0, 0)
 
 
 def test_parity_chains_resolve_doublets_the_dense_vectors_mix():
@@ -206,10 +212,10 @@ def test_parity_chains_resolve_doublets_the_dense_vectors_mix():
         exact00 = [float(vectors[0, k] ** 2) for k in range(h.n_photons + 1)]
         exact_e = [float(x) for x in energies]
     _, (exact,) = merge_degenerate_lines(exact_e, [exact00])
-    chain00, _ = parity_chain_spectra(h)
-    oracle00, _ = spectra_from_eigen(diagonalize(h))
-    assert np.max(np.abs(chain00.weights - exact)) < 1e-14
-    assert np.max(np.abs(oracle00.weights - exact)) > 1e-10
+    _, chain00, _ = edge_lines(*parity_chain_spectra(h))
+    _, oracle00, _ = spectra_from_eigen(diagonalize(h))
+    assert np.max(np.abs(chain00 - exact)) < 1e-14
+    assert np.max(np.abs(oracle00 - exact)) > 1e-10
 
 
 def test_parity_chains_unresolvable_weights_raise_numerical_failure():
@@ -226,9 +232,37 @@ def test_parity_chains_run_in_linear_memory():
     h = build_sector_hamiltonian(params)
     tracemalloc.start()
     try:
-        spec00, _ = parity_chain_spectra(h)
+        sym, anti = parity_chain_spectra(h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(spec00) == 10_001
+    assert (len(sym), len(anti)) == (5001, 5000)
     assert peak < 64e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    g=st.floats(0.01, 2.0),
+    j=st.floats(0.01, 2.0),
+    omega0=st.floats(-2.0, 2.0),
+    sigma=st.sampled_from([1, -1]),
+)
+def test_parity_halves_are_line_spectra_that_merge_to_the_oracle(n, g, j, omega0, sigma):
+    """Each half is a valid line spectrum of N//2 + 1 or (N+1)//2 lines, and
+    their table matches the parity-blind dense table.  Near a doublet the
+    dense eigenvectors mix the two parities (see the test above), so only
+    configurations whose halves stay apart by more than 1e-6 are compared."""
+    h = build_sector_hamiltonian(
+        ModelParams(n_photons=n, omega0=omega0, g=g, j_tun=j, sigma=sigma))
+    sym, anti = parity_chain_spectra(h)
+    for half, lines in ((sym, n // 2 + 1), (anti, (n + 1) // 2)):
+        assert isinstance(half, LineSpectrum) and len(half) == lines
+        assert np.all(np.diff(half.energies) > 0) and np.all(half.weights >= 0)
+        assert abs(float(np.sum(half.weights)) - 1.0) <= 1e-10
+    assume(np.min(np.abs(sym.energies[:, None] - anti.energies[None, :])) > 1e-6)
+    table = edge_lines(sym, anti)
+    oracle = spectra_from_eigen(diagonalize(h))
+    if table[0].size == oracle[0].size:
+        for column, ref in zip(table, oracle):
+            np.testing.assert_allclose(column, ref, rtol=0, atol=1e-9)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cavity_rpm.core import AmplitudeSeries, ModelParams, amplitude_from_lines
+from cavity_rpm.core import AmplitudeSeries, ModelParams, amplitude_from_lines, edge_lines
 from cavity_rpm.dynamics import evolve
 from cavity_rpm.effective import (
     build_sector_hamiltonian,
@@ -110,14 +110,14 @@ def test_noon_score_rejects_unnormalized_input():
 
 def test_default_sampling_window():
     params = ModelParams(n_photons=6, omega0=1.0, j_tun=0.8)
-    spec00, _ = harmonic_line_spectra(params)
-    t_max, dt = default_sampling_window(params, spec00)
+    energies, _, _ = edge_lines(*harmonic_line_spectra(params))
+    t_max, dt = default_sampling_window(params, energies)
     assert t_max == pytest.approx(1000.0 * math.pi / 0.8)
-    span = float(spec00.energies[-1] - spec00.energies[0])
+    span = float(energies[-1] - energies[0])
     assert dt == pytest.approx(2.0 * math.pi / (20.0 * span))
     t_max0, dt0 = default_sampling_window(
         ModelParams(n_photons=4, omega0=1.0, j_tun=0.0),
-        harmonic_line_spectra(ModelParams(n_photons=4, omega0=1.0, j_tun=0.0))[0],
+        edge_lines(*harmonic_line_spectra(ModelParams(n_photons=4, omega0=1.0, j_tun=0.0)))[0],
     )
     assert t_max0 == 50.0
     assert dt0 == 0.01
@@ -156,20 +156,22 @@ def test_feasibility_anharmonic_beats_harmonic():
 def test_marginal_second_moment_matches_weights():
     """Long-time mean of |c0|^2 equals the summed squared weights."""
     params = ModelParams(n_photons=8, omega0=1.0, g=1.2, j_tun=0.8)
-    spec00, specn0 = spectra_from_eigen(diagonalize(build_sector_hamiltonian(params)))
-    ret, _ = evolve(spec00, specn0, 10000.0 / params.j_tun, 0.05)
+    h = build_sector_hamiltonian(params)
+    _, w00, _ = spectra_from_eigen(diagonalize(h))
+    ret, _ = evolve(*parity_chain_spectra(h), 10000.0 / params.j_tun, 0.05)
     mean_sq = float(np.mean(np.abs(ret.values) ** 2))
-    assert mean_sq == pytest.approx(float(np.sum(spec00.weights**2)), abs=5e-3)
+    assert mean_sq == pytest.approx(float(np.sum(w00**2)), abs=5e-3)
 
 
 def test_noon_histogram_from_half_sums_equals_direct_syntheses():
     """The figure-scale noon histogram (N=100, t_max 150) built from evolve's
-    parity half sums equals, bin for bin, the one from one synthesis per
-    spectrum."""
+    half sums under one common phase equals, bin for bin, the one from one
+    synthesis per half, each with its own common phase."""
     params = ModelParams(n_photons=100, omega0=1.0, g=1.2, j_tun=0.8)
-    spec00, specn0 = parity_chain_spectra(build_sector_hamiltonian(params))
-    _, dt = default_sampling_window(params, spec00)
-    ret, tra = evolve(spec00, specn0, 150.0, dt)
-    direct = sample_joint(amplitude_from_lines(spec00, ret.times),
-                          amplitude_from_lines(specn0, ret.times), bins=50)
+    halves = parity_chain_spectra(build_sector_hamiltonian(params))
+    _, dt = default_sampling_window(params, edge_lines(*halves)[0])
+    ret, tra = evolve(*halves, 150.0, dt)
+    sym, anti = (amplitude_from_lines(half, ret.times).values for half in halves)
+    direct = sample_joint(AmplitudeSeries(ret.times, (sym + anti) / 2),
+                          AmplitudeSeries(ret.times, (sym - anti) / 2), bins=50)
     np.testing.assert_array_equal(sample_joint(ret, tra, bins=50).bins, direct.bins)

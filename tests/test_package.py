@@ -16,6 +16,7 @@ API = {
     "amplitude_from_lines",
     "build_sector_hamiltonian",
     "diagonalize",
+    "edge_lines",
     "evolve",
     "first_transfer_time",
     "harmonic_amplitudes",
@@ -41,7 +42,7 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 def test_namespace_is_the_api_and_version():
     assert sorted(cavity_rpm.__all__) == sorted(API | {"__version__"})
-    assert len(cavity_rpm.__all__) == 17
+    assert len(cavity_rpm.__all__) == 18
     for name in cavity_rpm.__all__:
         assert getattr(cavity_rpm, name) is not None
     # submodules aside, the package binds no other public name

@@ -12,6 +12,7 @@ from cavity_rpm.core import (
     NearPoleError,
     NumericalFailureError,
     UnsupportedModelError,
+    edge_lines,
     smoothed_density,
 )
 from cavity_rpm.effective import build_sector_hamiltonian
@@ -207,12 +208,12 @@ def test_density_positive_and_normalized():
 
 def test_harmonic_limit_matches_closed_lines():
     params = ModelParams(n_photons=12, omega0=1.0, g=0.0, j_tun=0.8)
-    spec00, spec10 = harmonic_line_spectra(params)
-    grid = np.linspace(spec00.energies[0] - 1, spec00.energies[-1] + 1, 801)
-    rho00, rhon0 = rpm_spectra(params, grid, 0.05)
-    np.testing.assert_allclose(rho00, smoothed_density(spec00, grid, 0.05), atol=1e-10)
-    np.testing.assert_allclose(
-        rhon0, np.real(smoothed_density(spec10, grid, 0.05)), atol=1e-10)
+    halves = harmonic_line_spectra(params)
+    energies, _, _ = edge_lines(*halves)
+    grid = np.linspace(energies[0] - 1, energies[-1] + 1, 801)
+    for rho_r, rho_l in zip(rpm_spectra(params, grid, 0.05),
+                            smoothed_density(*halves, grid, 0.05)):
+        np.testing.assert_allclose(rho_r, rho_l, atol=1e-10)
 
 
 def test_spectra_input_validation():
