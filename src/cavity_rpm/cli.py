@@ -124,13 +124,15 @@ def _params(cfg: dict) -> ModelParams:
 def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]):
     header = ",".join(name for name, _ in columns)
     arrays = [np.asarray(col, dtype=float) for _, col in columns]
+    # "%.17g" gives the text of format(v, ".17g"), also for -0, inf and nan
+    line = ",".join(["%.17g"] * len(arrays)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         # Python floats format faster than NumPy scalars, to the same text;
         # converting a block of rows at a time keeps few of them alive
         for lo in range(0, arrays[0].size, _CSV_ROWS):
             for row in zip(*(a[lo:lo + _CSV_ROWS].tolist() for a in arrays)):
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+                fh.write(line % row)
 
 
 def _write_json(path: Path, payload: dict):

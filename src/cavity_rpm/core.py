@@ -115,6 +115,12 @@ class ModelParams:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """A read-only array of ``a``'s values.  ``a`` itself when it owns its
+    data (``base is None``) and is read-only already, as a producer that
+    froze its own buffer hands it over; otherwise a frozen copy, so that no
+    caller's writable array or view backs a frozen spectrum or series."""
+    if a.base is None and not a.flags.writeable:
+        return a
     a = np.array(a)
     a.flags.writeable = False
     return a

@@ -50,13 +50,16 @@ def evolve(
     phase *= 0.5
     plus, minus = (_block_sums(s.energies, s.weights, times, centre) for s in (sym, anti))
     # few full-length buffers: cN takes S's place, and A and P go before the
-    # series copy c0 and cN
+    # series take c0 and cN
     c0 = plus + minus
     cn = np.subtract(plus, minus, out=plus)
     del minus
     c0 *= phase
     cn *= phase
     del phase
+    # frozen, owned buffers: the series keep them without a copy
+    for owned in (times, c0, cn):
+        owned.flags.writeable = False
     return AmplitudeSeries(times=times, values=c0), AmplitudeSeries(times=times, values=cn)
 
 

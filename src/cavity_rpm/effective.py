@@ -176,16 +176,28 @@ def _chain_lines(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weights = np.empty(n)
     cols = np.arange(n - 1)
     rows = max(1, _RATIO_BLOCK // n)
-    for start in range(0, n, rows):
-        j = np.arange(start, min(start + rows, n))
-        x = lam[j, None]
-        # mu_i paired with lam_i below j and with lam_{i+1} from j on: by
-        # interlacing every ratio lies in (0, 1), so the product cannot
-        # overflow; |.| because rounding can break the interlacing.  Eigenvalues
-        # equal to rounding give 0/0, which the sum check below reports
-        paired = np.where(cols < j[:, None], lam[:-1], lam[1:])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weights[j] = np.prod(np.abs((x - mu) / (x - paired)), axis=1)
+    # numerators and denominators of one block of ratios, rows j by columns
+    # i, reused for every block
+    nums = np.empty((min(rows, n), n - 1))
+    dens = np.empty_like(nums)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            x = lam[start:stop, None]
+            num, den = nums[:stop - start], dens[:stop - start]
+            # mu_i paired with lam_i below j and with lam_{i+1} from j on: by
+            # interlacing every ratio lies in (0, 1), so the product cannot
+            # overflow; |.| because rounding can break the interlacing.  Eigenvalues
+            # equal to rounding give 0/0, which the sum check below reports
+            np.subtract(x, lam[1:], out=den)
+            np.subtract(x, lam[:start], out=den[:, :start])
+            block = slice(start, stop - 1)
+            np.copyto(den[:, block], x - lam[block],
+                      where=cols[block] < np.arange(start, stop)[:, None])
+            np.subtract(x, mu, out=num)
+            np.divide(num, den, out=num)
+            np.abs(num, out=num)
+            np.prod(num, axis=1, out=weights[start:stop])
     total = float(np.sum(weights))
     if not abs(total - 1.0) <= DIAGONAL_SUM_TOL:
         raise NumericalFailureError(

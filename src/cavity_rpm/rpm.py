@@ -49,14 +49,15 @@ __all__ = [
 DENOMINATOR_FLOOR = 1e-300
 
 
-def _pair_interaction(params: ModelParams, k) -> float:
+def _pair_interaction(params: ModelParams, k):
+    """Pair energy f(k); ``k`` may be an integer array."""
     half = params.n_photons / 2.0
-    return 2.0 * params.sigma * params.g * (math.sqrt(half + k) + math.sqrt(half - k))
+    return 2.0 * params.sigma * params.g * (np.sqrt(half + k) + np.sqrt(half - k))
 
 
-def pair_coupling_sq(n_photons: int, k: int, j_tun: float) -> float:
+def pair_coupling_sq(n_photons: int, k, j_tun: float):
     """Squared tunneling amplitude connecting pair k to pair k+1:
-    J^2 (N/2 + k + 1)(N/2 - k)."""
+    J^2 (N/2 + k + 1)(N/2 - k).  ``k`` may be an integer array."""
     half = n_photons / 2.0
     return j_tun**2 * (half + k + 1.0) * (half - k)
 
@@ -68,27 +69,47 @@ def _check_even(params: ModelParams):
         )
 
 
-def _descend(params: ModelParams, z) -> Iterator[tuple[int, complex, complex]]:
+def _descend(params: ModelParams, z: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The one recursion loop behind :func:`rpm_walk` and :func:`rpm_resolvent`,
-    over a NumPy complex scalar or array ``z``."""
+    over a 1-d complex array ``z``.
+
+    Every depth yields the same two arrays ``a`` and ``b``, updated in place:
+    the loop allocates nothing per depth.
+    """
     _check_even(params)
     if np.any(np.imag(z) == 0.0):
         raise ValueError("evaluate off the real axis: poles live on it")
+    m = params.n_photons // 2
+    f = _pair_interaction(params, np.arange(m + 1)).tolist()
+    t2 = pair_coupling_sq(params.n_photons, np.arange(m), params.j_tun).tolist()
     y = z - params.n_photons * params.omega0
-    a = b = 1.0 / (y - _pair_interaction(params, 0))
+    a = 1.0 / (y - f[0])
+    b = a.copy()
     yield 0, a, b
-    for k in range(params.n_photons // 2):
-        t2 = pair_coupling_sq(params.n_photons, k, params.j_tun)
-        d = y - _pair_interaction(params, k + 1) - t2 * a
-        bb = t2 * b
-        den = (d - bb) * (d + bb)
-        if np.min(np.abs(den)) < DENOMINATOR_FLOOR:
+    den = np.empty_like(a)
+    tmp = np.empty_like(a)
+    re = np.empty(a.shape)
+    for k in range(m):
+        # D = y - f(k+1) - t2 a and B = t2 b, held in a and b
+        np.subtract(y, f[k + 1], out=tmp)
+        np.multiply(t2[k], a, out=a)
+        np.subtract(tmp, a, out=a)
+        np.multiply(t2[k], b, out=b)
+        # den = (D - B)(D + B)
+        np.subtract(a, b, out=den)
+        np.add(a, b, out=tmp)
+        np.multiply(den, tmp, out=den)
+        # |den| >= |Re den|, so the modulus of every point is needed only
+        # where the real part falls below the floor (or is NaN)
+        np.abs(den.real, out=re)
+        if not re.min() >= DENOMINATOR_FLOOR and np.min(np.abs(den)) < DENOMINATOR_FLOOR:
             raise NearPoleError(
                 f"resolvent pole hit at depth {k + 1}; "
                 "move z further off the real axis",
                 depth=k + 1,
             )
-        a, b = d / den, bb / den
+        np.divide(a, den, out=a)
+        np.divide(b, den, out=b)
         yield k + 1, a, b
 
 
@@ -101,8 +122,8 @@ def rpm_walk(params: ModelParams, z: complex) -> Iterator[tuple[int, complex, co
     Used for validation and failure localization; grid evaluation goes
     through :func:`rpm_resolvent`.
     """
-    for k, a, b in _descend(params, np.complex128(z)):
-        yield k, complex(a), complex(b)
+    for k, a, b in _descend(params, np.array([z], dtype=complex)):
+        yield k, complex(a[0]), complex(b[0])
 
 
 def rpm_resolvent(params: ModelParams, z):
@@ -134,15 +155,15 @@ def rpm_resolvent(params: ModelParams, z):
     # the last depth is the edge pair.  Far from the spectrum a pair
     # denominator can overflow, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, a, b in _descend(params, zs):
+        for _, a, b in _descend(params, zs.ravel()):
             pass
     # checked once on the result: a non-finite value carries to the last depth;
     # off the real axis a is never 0, but reads 0 where its denominator overflowed
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(a != 0)):
         raise NumericalFailureError("the pair recursion overflowed; evaluate nearer the spectrum")
     if zs.ndim == 0:
-        return complex(a), complex(b)
-    return a, b
+        return complex(a[0]), complex(b[0])
+    return a.reshape(zs.shape), b.reshape(zs.shape)
 
 
 def rpm_spectra(params: ModelParams, energies, epsilon: float):

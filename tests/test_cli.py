@@ -6,17 +6,34 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import cavity_rpm
-from cavity_rpm import validation
+from cavity_rpm import cli, validation
 from cavity_rpm.cli import DEFAULTS, main
 from cavity_rpm.validation import CheckResult
 
 
 def invoke(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def test_csv_text_is_format_17g_of_every_value(tmp_path):
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308]
+    rng = np.random.default_rng(3)
+    spread = rng.choice([-1.0, 1.0], 2 * 2500) * 10.0 ** rng.uniform(-300, 300, 2 * 2500)
+    first = np.concatenate([special, spread[:2500]])
+    second = np.concatenate([special[::-1], spread[2500:]])
+    path = tmp_path / "values.csv"
+    cli._write_csv(path, [("x", first), ("y", second)])
+    expected = "x,y\n" + "".join(
+        f"{format(u, '.17g')},{format(v, '.17g')}\n"
+        for u, v in zip(first.tolist(), second.tolist()))
+    assert path.read_bytes() == expected.encode("utf-8")
+    cli._write_csv(path, [("only", ())])
+    assert path.read_bytes() == b"only\n"
 
 
 def test_spectrum_lines_frozen_and_deterministic(tmp_path):

@@ -204,6 +204,22 @@ def test_line_spectrum_arrays_are_readonly():
         spec.energies[0] = 7.0
 
 
+def test_line_spectrum_copies_what_a_caller_can_still_write():
+    energies = np.array([0.0, 1.0])
+    weights = np.array([0.5, 0.5])
+    frozen_view = weights.view()
+    frozen_view.flags.writeable = False
+    spec = LineSpectrum(energies=energies, weights=frozen_view)
+    energies[0] = -1.0
+    weights[0] = 0.25
+    assert spec.energies.tolist() == [0.0, 1.0]
+    assert spec.weights.tolist() == [0.5, 0.5]
+    # an owned, read-only buffer is kept as it is
+    owned = np.array([0.0, 2.0])
+    owned.flags.writeable = False
+    assert LineSpectrum(energies=owned, weights=[0.5, 0.5]).energies is owned
+
+
 def test_edge_lines_halve_the_weights_and_merge_across_halves():
     sym = LineSpectrum(energies=[-1.0, 2.0], weights=[0.25, 0.75])
     anti = LineSpectrum(energies=[0.5, 2.0 + 1e-12], weights=[0.5, 0.5])

@@ -120,6 +120,15 @@ def test_evolve_matches_two_direct_syntheses(halves, n, dt):
         assert np.max(np.abs(series.values - (direct_sym + sign * direct_anti) / 2)) <= tol
 
 
+def test_evolve_series_keep_their_frozen_buffers():
+    halves = harmonic_line_spectra(ModelParams(n_photons=4, omega0=1.0, j_tun=0.5))
+    c0, cn = evolve(*halves, t_max=2.0, dt=0.01)
+    assert c0.times is cn.times
+    for series in (c0, cn):
+        assert not series.times.flags.writeable and not series.values.flags.writeable
+        assert series.values.base is None
+
+
 def test_evolve_with_equal_halves():
     """Halves with the same lines cancel exactly in cN = (S - A)/2."""
     half = LineSpectrum(energies=[-0.8, 0.8], weights=[0.5, 0.5])

@@ -4,10 +4,12 @@ import math
 import tracemalloc
 
 import numpy as np
+import scipy.linalg
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cavity_rpm import effective
 from cavity_rpm.core import (
     LineSpectrum,
     ModelParams,
@@ -266,3 +268,28 @@ def test_parity_halves_are_line_spectra_that_merge_to_the_oracle(n, g, j, omega0
     if table[0].size == oracle[0].size:
         for column, ref in zip(table, oracle):
             np.testing.assert_allclose(column, ref, rtol=0, atol=1e-9)
+
+
+def where_form_chain_weights(d, e):
+    """The interlacing product in one piece, its pairing chosen by np.where."""
+    lam = scipy.linalg.eigvalsh_tridiagonal(d, e)
+    mu = scipy.linalg.eigvalsh_tridiagonal(d[1:], e[1:])
+    j = np.arange(lam.size)[:, None]
+    paired = np.where(np.arange(lam.size - 1) < j, lam[:-1], lam[1:])
+    x = lam[:, None]
+    return lam, np.prod(np.abs((x - mu) / (x - paired)), axis=1)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 2**15])
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 64, 181, 182, 183])
+def test_chain_weights_equal_the_where_form(monkeypatch, block, n):
+    """Blocked rows of ratios, whole and partial blocks, full and one-row
+    blocks, give the bits of the product built in one piece."""
+    monkeypatch.setattr(effective, "_RATIO_BLOCK", block)
+    rng = np.random.default_rng(n)
+    d = np.sort(rng.uniform(-3.0, 3.0, n))
+    e = rng.uniform(0.2, 1.0, n - 1)
+    lam, weights = effective._chain_lines(d, e)
+    lam_ref, weights_ref = where_form_chain_weights(d, e)
+    assert np.array_equal(lam, lam_ref)
+    assert np.array_equal(weights, weights_ref)

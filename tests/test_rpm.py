@@ -1,6 +1,7 @@
 """Pair-recursion resolvent against dense references and its symmetries."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -116,6 +117,81 @@ def test_walk_yields_every_depth():
     _, a_walk, b_walk = states[-1]
     assert a_walk == pytest.approx(a, rel=1e-14)
     assert b_walk == pytest.approx(b, rel=1e-14)
+
+
+def plain_operator_resolvent(params, z):
+    """The pair recursion written with plain operators, one fresh array per
+    operation, and the pair energies and couplings from ``math`` per depth."""
+    half = params.n_photons / 2.0
+
+    def f(k):
+        return 2.0 * params.sigma * params.g * (math.sqrt(half + k) + math.sqrt(half - k))
+
+    y = z - params.n_photons * params.omega0
+    a = b = 1.0 / (y - f(0))
+    for k in range(params.n_photons // 2):
+        t2 = params.j_tun**2 * (half + k + 1.0) * (half - k)
+        d = y - f(k + 1) - t2 * a
+        bb = t2 * b
+        den = (d - bb) * (d + bb)
+        a, b = d / den, bb / den
+    return a, b
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_resolvent_is_bit_identical_to_the_plain_operator_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 * int(rng.integers(1, 1001))
+    params = ModelParams(n_photons=n, omega0=float(rng.choice([0.0, 1.0])),
+                         g=float(rng.uniform(-1.5, 1.5)), j_tun=float(rng.uniform(0.0, 1.5)),
+                         sigma=int(rng.choice([1, -1])))
+    levels = build_sector_hamiltonian(params).diag
+    # grids of two points or more: NumPy rounds a product of one-element
+    # arrays in place (as the loop's buffers do) like its scalars, without FMA
+    size = 2 * int(rng.integers(1, 1500))
+    z = (rng.uniform(levels.min() - 5.0, levels.max() + 5.0, size)
+         + 1j * rng.uniform(1e-3, 2.0, size) * rng.choice([-1, 1], size))
+    a, b = rpm_resolvent(params, z)
+    a_ref, b_ref = plain_operator_resolvent(params, z)
+    assert np.array_equal(a, a_ref)
+    assert np.array_equal(b, b_ref)
+    a2, b2 = rpm_resolvent(params, z.reshape(-1, 2))
+    assert a2.shape == b2.shape == (size // 2, 2)
+    assert np.array_equal(a2.ravel(), a_ref)
+    assert np.array_equal(b2.ravel(), b_ref)
+    # one point is the last depth of the walk
+    *_, (_, a_walk, b_walk) = rpm_walk(params, z[0])
+    assert rpm_resolvent(params, z[0]) == (a_walk, b_walk)
+
+
+def test_walk_matches_dense_central_blocks_at_every_depth():
+    params = ModelParams(n_photons=14, omega0=1.0, g=-0.7, j_tun=0.6, sigma=1)
+    h = build_sector_hamiltonian(params).dense()
+    m = params.n_photons // 2
+    z = 12.0 - 0.4j
+    walk = list(rpm_walk(params, z))
+    assert [k for k, _, _ in walk] == list(range(m + 1))
+    for k, a, b in walk:
+        assert type(a) is complex and type(b) is complex
+        # pairs 0..k are the central states m-k .. m+k
+        block = h[m - k:m + k + 1, m - k:m + k + 1]
+        x = np.linalg.solve(z * np.eye(2 * k + 1) - block, np.eye(2 * k + 1)[:, 0])
+        assert abs(a - x[0]) <= 1e-12 * abs(x[0])
+        assert abs(b - x[2 * k]) <= 1e-12 * max(abs(x[2 * k]), 1e-280)
+
+
+def test_pole_floor_checks_the_modulus_where_the_real_part_vanishes():
+    # J = 0, g = 0: den = z^2 = 0.5j, whose real part is exactly 0 but whose
+    # modulus 0.5 is far above the floor
+    params = ModelParams(n_photons=2, omega0=0.0, g=0.0, j_tun=0.0)
+    z = 0.5 + 0.5j
+    a, b = rpm_resolvent(params, z)
+    assert a == 1 / z
+    assert b == 0.0
+    # a near pole beside an ordinary point still raises at its depth
+    with pytest.raises(NearPoleError) as excinfo:
+        rpm_resolvent(dataclasses.replace(params, j_tun=1.0), np.array([0.5 + 0.5j, 2.0 - 1e-320j]))
+    assert excinfo.value.depth == 1
 
 
 @st.composite
