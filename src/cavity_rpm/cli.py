@@ -175,8 +175,8 @@ def _diagnostics(lines) -> dict:
 
 def _density_diagnostics(rhon0) -> dict:
     """Deterministic figures of a recursion density, for the sidecars: the grid
-    points where the written ``rhoN0`` is exactly 0, the cross element
-    ``b`` of the pair recursion having underflowed there."""
+    points where the written ``rhoN0`` is exactly 0, the imaginary part of
+    the pair recursion's cross element ``b`` having underflowed there."""
     zeros = rhon0.size - np.count_nonzero(rhon0)
     return {"points": int(rhon0.size), "zero_cross_points": int(zeros)}
 

@@ -1,33 +1,36 @@
 """Recursive projection evaluation of the sector resolvent.
 
-The N-photon sector (N even) of two exchange-symmetric cavities splits
-into nested two-dimensional subspaces spanned by the mirror pairs
-{|N/2+k, N/2-k>, |N/2-k, N/2+k>}, k = 1..N/2, around the single balanced
-center state |N/2, N/2>.  Because tunneling only connects pair k to pair
-k+1, the resolvent on pair k+1 follows from the resolvent on everything
-inside it by a 2x2 block continued fraction.  Exchange symmetry keeps
-every block of the form [[a, b], [b, a]], so two complex coefficients per
-depth suffice:
+The N-photon sector of two exchange-symmetric cavities splits into nested
+two-dimensional subspaces spanned by the mirror pairs
+{|N/2+s, N/2-s>, |N/2-s, N/2+s>}, at distance s = k + (N mod 2)/2 from the
+centre for depths k = 0..N//2.  Because tunneling only connects pair k to
+pair k+1, the resolvent on pair k+1 follows from the resolvent on everything
+inside it by a 2x2 block continued fraction.  Exchange symmetry keeps every
+block of the form [[a, b], [b, a]], so two complex coefficients per depth
+suffice:
 
-    D = z - f(k+1) - t_k^2 a_k        B = t_k^2 b_k
+    D = z - f(s+1) - t_s^2 a_k        B = t_s^2 b_k
     a_{k+1} = D / (D^2 - B^2)         b_{k+1} = B / (D^2 - B^2)
 
-where f(k) is the pair energy and t_k^2 the squared tunneling amplitude
-into the next pair.  After N/2 steps a and b are the diagonal and cross
+where f(s) is the pair energy and t_s^2 the squared tunneling amplitude
+into the next pair.  After N//2 steps a and b are the diagonal and cross
 resolvent elements on the edge states |N,0>, |0,N>.
 
-The walk is seeded at depth 0 with a = b = 1/(z - f(0)): the depth-0
-"pair" is the center state counted twice, so its diagonal and cross
-elements coincide.  b is built purely by multiplication and division, but
-nothing rescales it: where the cross element is exponentially small it
-underflows to exactly 0, and nothing reports that.  On the 4001-point
-default grid of an N=10^4 spectrum (epsilon 0.01) b is 0 at 2490 points.
-ROADMAP item 4 tracks carrying it on a log scale.
+Depth 0 sits at s = (N mod 2)/2; let d = z - f(s).  For N = 2M it is the
+centre state |M, M> counted twice, so a = b = 1/d; for N = 2M+1 it is the
+centre pair {|M+1, M>, |M, M+1>}, coupled by -e = -J (M+1), so
+a = d/((d-e)(d+e)) and b = -e/((d-e)(d+e)).  b is built purely by
+multiplication and division, and nothing rescales it: where the cross
+element is exponentially small it underflows.  On the 4001-point default
+grid of an N=10^4 spectrum (epsilon 0.01) b is 0 at 2490 points and Im b at
+2495, the ``zero_cross_points`` the CLI sidecars count.  ROADMAP item 4
+tracks carrying b on a log scale.
 
 Internally the recursion runs in the shifted variable y = z - omega0 N,
-which removes the constant harmonic offset from every subtraction. That
-makes the sign symmetry (y, g) -> (-y, -g) hold exactly in floating
-point, not just analytically.
+which removes the constant harmonic offset from every subtraction.  For even
+N that makes the sign symmetry (y, g) -> (-y, -g) hold exactly in floating
+point.  For odd N it holds to rounding, with b(-y, -g) = b(y, g): e keeps
+its sign, and the factors of (d-e)(d+e) trade places.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ModelParams, NearPoleError, NumericalFailureError, UnsupportedModelError
+from .core import ModelParams, NearPoleError, NumericalFailureError
 
 __all__ = [
     "pair_coupling_sq",
@@ -49,24 +52,19 @@ __all__ = [
 DENOMINATOR_FLOOR = 1e-300
 
 
-def _pair_interaction(params: ModelParams, k):
-    """Pair energy f(k); ``k`` may be an integer array."""
+def _pair_interaction(params: ModelParams, s):
+    """Pair energy f(s) of the pair at distance ``s`` from the centre; ``s``
+    may be an array."""
     half = params.n_photons / 2.0
-    return 2.0 * params.sigma * params.g * (np.sqrt(half + k) + np.sqrt(half - k))
+    return 2.0 * params.sigma * params.g * (np.sqrt(half + s) + np.sqrt(half - s))
 
 
-def pair_coupling_sq(n_photons: int, k, j_tun: float):
-    """Squared tunneling amplitude connecting pair k to pair k+1:
-    J^2 (N/2 + k + 1)(N/2 - k).  ``k`` may be an integer array."""
+def pair_coupling_sq(n_photons: int, s, j_tun: float):
+    """Squared tunneling amplitude connecting the pair at distance s from the
+    centre to the pair at s + 1: J^2 (N/2 + s + 1)(N/2 - s).  ``s`` may be an
+    array."""
     half = n_photons / 2.0
-    return j_tun**2 * (half + k + 1.0) * (half - k)
-
-
-def _check_even(params: ModelParams):
-    if params.n_photons % 2 != 0:
-        raise UnsupportedModelError(
-            f"the pair recursion needs an even photon number, got N={params.n_photons}"
-        )
+    return j_tun**2 * (half + s + 1.0) * (half - s)
 
 
 def _descend(params: ModelParams, z: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -76,15 +74,27 @@ def _descend(params: ModelParams, z: np.ndarray) -> Iterator[tuple[int, np.ndarr
     Every depth yields the same two arrays ``a`` and ``b``, updated in place:
     the loop allocates nothing per depth.
     """
-    _check_even(params)
     if np.any(np.imag(z) == 0.0):
         raise ValueError("evaluate off the real axis: poles live on it")
-    m = params.n_photons // 2
-    f = _pair_interaction(params, np.arange(m + 1)).tolist()
-    t2 = pair_coupling_sq(params.n_photons, np.arange(m), params.j_tun).tolist()
-    y = z - params.n_photons * params.omega0
-    a = 1.0 / (y - f[0])
-    b = a.copy()
+    n = params.n_photons
+    m = n // 2
+    s = np.arange(m + 1) + n % 2 / 2
+    f = _pair_interaction(params, s).tolist()
+    t2 = pair_coupling_sq(n, s[:m], params.j_tun).tolist()
+    y = z - n * params.omega0
+    d = y - f[0]
+    # depth 0: the centre state counted twice, or the centre pair coupled by -e
+    if n % 2 == 0:
+        num_a, num_b, den = 1.0, 1.0, d
+    else:
+        e = params.j_tun * (m + 1)
+        num_a, num_b, den = d, -e, (d - e) * (d + e)
+    if np.min(np.abs(den)) < DENOMINATOR_FLOOR:
+        raise NearPoleError(
+            "resolvent pole hit at depth 0; move z further off the real axis", depth=0
+        )
+    a = num_a / den
+    b = num_b / den
     yield 0, a, b
     den = np.empty_like(a)
     tmp = np.empty_like(a)
@@ -114,11 +124,12 @@ def _descend(params: ModelParams, z: np.ndarray) -> Iterator[tuple[int, np.ndarr
 
 
 def rpm_walk(params: ModelParams, z: complex) -> Iterator[tuple[int, complex, complex]]:
-    """Yield ``(k, a, b)`` at every depth k from 0 through N/2.
+    """Yield ``(k, a, b)`` at every depth k from 0 through N//2.
 
     ``a`` is the diagonal resolvent element on either member of pair ``k``
     of the chain truncated at that pair; ``b`` is the element crossing the
-    pair.  At depth 0 both equal the center-state resolvent 1/(z - f(0)).
+    pair.  Depth 0 is the centre state at even N, where both equal its
+    resolvent 1/(z - f(0)), and the centre pair at odd N.
     Used for validation and failure localization; grid evaluation goes
     through :func:`rpm_resolvent`.
     """
@@ -132,7 +143,6 @@ def rpm_resolvent(params: ModelParams, z):
     Parameters
     ----------
     params : ModelParams
-        N must be even.
     z : complex scalar or array
         Evaluation points, strictly off the real axis.
 
@@ -143,10 +153,9 @@ def rpm_resolvent(params: ModelParams, z):
 
     Raises
     ------
-    UnsupportedModelError
-        For odd N.
     NearPoleError
-        If a pair denominator underflows; carries the failing depth.
+        If a pair denominator underflows; carries the failing depth, 0 for
+        the centre state (even N) or the centre pair (odd N).
     NumericalFailureError
         If ``a`` or ``b`` is not finite, or ``a`` is 0: a pair denominator,
         about ``|z|^2``, overflowed.

@@ -38,11 +38,10 @@ _PROBE_Z = (
     12.5 - 2.0j,
 )
 
-# even N only: the recursion and the harmonic closed forms need it
 _SMALL_GRID = [
     ModelParams(n_photons=n, omega0=w0, g=g, j_tun=j, sigma=s)
     for n, g, j, s, w0 in itertools.product(
-        (2, 6, 12), (0.0, 0.5, 1.2), (0.4, 0.8), (1, -1), (0.0, 1.0)
+        (2, 7, 12), (0.0, 0.5, 1.2), (0.4, 0.8), (1, -1), (0.0, 1.0)
     )
 ]
 
@@ -119,17 +118,14 @@ def check_herglotz() -> CheckResult:
 
 def _dense_pair_elements(h: effective.SectorHamiltonian, z: complex, k: int):
     # isolated central block spanning pairs 0..k, corners give (a_k, b_k)
-    c = h.n_photons // 2
-    lo, hi = c - k, c + k
+    lo, hi = h.n_photons // 2 - k, (h.n_photons + 1) // 2 + k
     d = h.diag[lo:hi + 1]
-    e = h.offdiag[lo:hi] if k > 0 else np.zeros(0)
-    m = np.diag(z - d.astype(complex))
-    if k > 0:
-        m -= np.diag(e.astype(complex), 1) + np.diag(e.astype(complex), -1)
-    rhs = np.zeros(2 * k + 1, dtype=complex)
+    e = h.offdiag[lo:hi].astype(complex)
+    m = np.diag(z - d.astype(complex)) - np.diag(e, 1) - np.diag(e, -1)
+    rhs = np.zeros(d.size, dtype=complex)
     rhs[0] = 1.0
     x = np.linalg.solve(m, rhs)
-    return x[0], x[2 * k]
+    return x[0], x[-1]
 
 
 def check_oracle_equivalence() -> CheckResult:
@@ -180,13 +176,17 @@ def check_oracle_equivalence() -> CheckResult:
 
 def check_sign_symmetry() -> CheckResult:
     """Coupling-sign inversion negates the resolvent coefficients:
-    a(2 omega0 N - z, -g) = -a(z, g), and the same for b."""
+    a(2 omega0 N - z, -g) = -a(z, g) and b(2 omega0 N - z, -g) = -(-1)^N b(z, g).
+
+    The gauge (-1)^k on the sector basis |N-k, k> maps H(-g) - omega0 N to
+    -(H(g) - omega0 N), and multiplies |0,N> by (-1)^N."""
     zs = np.array(_PROBE_Z)
     worst = 0.0
     for params in _SMALL_GRID:
         a1, b1 = rpm.rpm_resolvent(params, zs)
         flipped = replace(params, g=-params.g)
         a2, b2 = rpm.rpm_resolvent(flipped, 2.0 * (params.omega0 * params.n_photons) - zs)
+        b1 *= (-1) ** params.n_photons
         worst = max(worst, float(np.max(np.abs(a2 + a1))), float(np.max(np.abs(b2 + b1))))
     passed = worst <= 1e-12
     return CheckResult(
@@ -221,7 +221,7 @@ def check_harmonic_closed_forms() -> CheckResult:
     """At g = 0 the eigensolver, the recursion and the closed forms coincide."""
     worst = 0.0
     times = np.linspace(0.0, 25.0, 1001)
-    for n in (2, 6, 12, 20):
+    for n in (2, 7, 12, 20):
         params = ModelParams(n_photons=n, omega0=1.0, g=0.0, j_tun=0.8, sigma=1)
         halves = harmonic.harmonic_line_spectra(params)
         lines = edge_lines(*halves)
@@ -315,15 +315,12 @@ def check_parity() -> CheckResult:
     """Eigenvectors split into mirror-symmetric and antisymmetric classes,
     so the cross weights equal the diagonal weights up to sign, line by line;
     and the line spectra of the two parity chains match those of the dense
-    eigenvectors, on the small grid plus an odd N and J = 0."""
+    eigenvectors, on the small grid plus J = 0."""
     worst_vec = 0.0
     worst_line = 0.0
     worst_chain = 0.0
-    extra = [
-        ModelParams(n_photons=7, omega0=1.0, g=1.2, j_tun=0.8, sigma=1),
-        ModelParams(n_photons=6, omega0=1.0, g=1.2, j_tun=0.0, sigma=1),
-    ]
-    for params in _SMALL_GRID + extra:
+    extra = ModelParams(n_photons=6, omega0=1.0, g=1.2, j_tun=0.0, sigma=1)
+    for params in _SMALL_GRID + [extra]:
         h = effective.build_sector_hamiltonian(params)
         decomp = effective.diagonalize(h)
         oracle = effective.spectra_from_eigen(decomp)

@@ -112,6 +112,25 @@ def test_dynamics_with_first_transfer(tmp_path):
     assert abs(diagnostics["anharmonic-oracle"]["weight_sum_defect"]) < 1e-12
 
 
+def test_odd_photon_numbers_run_on_every_route(tmp_path):
+    result = invoke("spectrum", "--compare", "--N", 7, "--epsilon", 0.01, "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "spectrum_compare.json").read_text())["compare"]
+    assert report["linf_rho00"] <= 1e-10
+    assert report["linf_rhoN0"] <= 1e-10
+    result = invoke("noon", "--model", "harmonic", "--N", 5, "--tmax", 50, "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "noon_harmonic.json").read_text())["summary"]
+    assert summary["t_max"] == 50
+    result = invoke("dynamics", "--model", "anharmonic-oracle", "--N", 7, "--compare",
+                    "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    diagnostics = json.loads((tmp_path / "dynamics_anharmonic-oracle.json").read_text())[
+        "diagnostics"]
+    assert diagnostics["harmonic"] == {
+        "lines": 8, "zero_weight_lines": 0, "weight_sum_defect": 0.0}
+
+
 def test_harmonic_spectrum_beyond_n_1023(tmp_path):
     result = invoke("spectrum", "--model", "harmonic", "--N", 2000, "--J", 0.8,
                     "--out", tmp_path)
@@ -308,6 +327,20 @@ def test_near_pole_evaluation_exits_3(tmp_path):
                     "--epsilon", 1e-320, "--out", tmp_path)
     assert result.exit_code == 3
     assert "pole" in result.output
+
+
+def test_pole_at_the_recursion_seed_exits_3_with_only_the_error_line(tmp_path):
+    """The middle grid point z = -1e-320j sits on the centre state's level."""
+    config = tmp_path / "pole.json"
+    config.write_text(json.dumps({"grid": [-1e-300, 1e-300], "points": 3}))
+    out = tmp_path / "out"
+    probe = run_python("-m", "cavity_rpm.cli", "spectrum", "--config", str(config),
+                       "--model", "anharmonic-rpm", "--N", "2", "--g", "0", "--J", "1",
+                       "--omega0", "0", "--epsilon", "1e-320", "--out", str(out))
+    assert probe.returncode == 3
+    assert probe.stderr.splitlines() == [
+        "error: resolvent pole hit at depth 0; move z further off the real axis"]
+    assert list(out.iterdir()) == []
 
 
 def test_recursion_overflow_exits_3_with_only_the_error_line(tmp_path):

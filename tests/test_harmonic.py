@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from cavity_rpm.core import ModelParams, UnsupportedModelError, edge_lines
+from cavity_rpm.core import ModelParams, edge_lines
 from cavity_rpm.dynamics import evolve
-from cavity_rpm.effective import build_sector_hamiltonian, diagonalize, spectra_from_eigen
+from cavity_rpm.effective import (
+    build_sector_hamiltonian,
+    diagonalize,
+    parity_chain_spectra,
+    spectra_from_eigen,
+)
 from cavity_rpm.harmonic import harmonic_amplitudes, harmonic_line_spectra
 
 
@@ -53,11 +58,20 @@ def test_zero_tunneling_collapses_to_one_line():
     assert abs(wn0[0]) < 1e-15
 
 
-def test_odd_photon_number_rejected():
-    with pytest.raises(UnsupportedModelError):
-        harmonic_line_spectra(ModelParams(n_photons=5, j_tun=0.5))
-    with pytest.raises(UnsupportedModelError):
-        harmonic_amplitudes(ModelParams(n_photons=3, j_tun=0.5), [0.0, 0.1])
+def test_odd_photon_number_matches_chains():
+    """At odd N the symmetric half holds the odd k, and the transition
+    amplitude is i^N sin^N(Jt)."""
+    for n in (1, 3, 5, 7, 9, 51):
+        params = ModelParams(n_photons=n, omega0=1.0, g=0.0, j_tun=0.8)
+        halves = harmonic_line_spectra(params)
+        chains = parity_chain_spectra(build_sector_hamiltonian(params))
+        for closed, chain in zip(halves, chains):
+            np.testing.assert_allclose(closed.energies, chain.energies, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(closed.weights, chain.weights, rtol=0, atol=1e-12)
+        ret, tra = evolve(*chains, 20.0, 0.01)
+        ret_c, tra_c = harmonic_amplitudes(params, ret.times)
+        np.testing.assert_allclose(ret_c.values, ret.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tra_c.values, tra.values, rtol=0, atol=1e-12)
 
 
 def test_matches_eigensolver_at_zero_coupling():

@@ -5,19 +5,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cavity_rpm.core import (
     ModelParams,
     NearPoleError,
     NumericalFailureError,
-    UnsupportedModelError,
     edge_lines,
     smoothed_density,
 )
-from cavity_rpm.effective import build_sector_hamiltonian
-from cavity_rpm.harmonic import harmonic_line_spectra
+from cavity_rpm.dynamics import evolve
+from cavity_rpm.effective import (
+    build_sector_hamiltonian,
+    diagonalize,
+    parity_chain_spectra,
+    spectra_from_eigen,
+)
+from cavity_rpm.harmonic import harmonic_amplitudes, harmonic_line_spectra
 from cavity_rpm.rpm import (
     pair_coupling_sq,
     rpm_resolvent,
@@ -73,11 +78,18 @@ def test_large_z_asymptotics():
     assert b * z**3 / (2.0 * params.j_tun**2) == pytest.approx(1.0, rel=1e-6)
 
 
-def test_rejects_odd_n_and_real_z():
-    with pytest.raises(UnsupportedModelError):
-        rpm_resolvent(ModelParams(n_photons=3, j_tun=0.5), 1.0j)
-    with pytest.raises(UnsupportedModelError):
-        list(rpm_walk(ModelParams(n_photons=3, j_tun=0.5), 1.0j))
+def test_takes_odd_n_and_rejects_real_z():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 7, 21):
+        params = ModelParams(n_photons=n, omega0=1.0, g=0.7, j_tun=0.5, sigma=-1)
+        z = rng.uniform(-5, 30, 6) + 1j * rng.uniform(0.05, 2.0, 6) * rng.choice([-1, 1], 6)
+        a, b = rpm_resolvent(params, z)
+        for i, zi in enumerate(z):
+            a_ref, b_ref = dense_edge_elements(params, complex(zi))
+            *_, (_, a_walk, b_walk) = rpm_walk(params, zi)
+            for got_a, got_b in ((a[i], b[i]), (a_walk, b_walk)):
+                assert abs(got_a - a_ref) <= 1e-12 * abs(a_ref)
+                assert abs(got_b - b_ref) <= 1e-12 * max(abs(b_ref), 1e-280)
     with pytest.raises(ValueError, match="real axis"):
         rpm_resolvent(ModelParams(n_photons=2, j_tun=0.5), 1.0 + 0.0j)
     with pytest.raises(ValueError, match="real axis"):
@@ -97,6 +109,18 @@ def test_walk_near_pole_raises_with_depth():
     with pytest.raises(NearPoleError) as excinfo:
         list(rpm_walk(params, 2.0 - 1e-320j))
     assert excinfo.value.depth == 1
+
+
+@pytest.mark.parametrize("n, z", [(2, -1e-320j), (1, 1.0 - 1e-320j)])
+def test_seed_on_a_pole_raises_at_depth_0(n, z):
+    # the centre state at 0 (N=2) and the centre pair's level at J (N=1) sit
+    # a subnormal distance from z; no division warning comes first
+    params = ModelParams(n_photons=n, omega0=0.0, g=0.0, j_tun=1.0)
+    for evaluate in (lambda: rpm_resolvent(params, np.array([0.5j, z])),
+                     lambda: list(rpm_walk(params, z))):
+        with pytest.raises(NearPoleError) as excinfo:
+            evaluate()
+        assert excinfo.value.depth == 0
 
 
 def test_overflow_far_from_the_spectrum_raises():
@@ -122,16 +146,25 @@ def test_walk_yields_every_depth():
 def plain_operator_resolvent(params, z):
     """The pair recursion written with plain operators, one fresh array per
     operation, and the pair energies and couplings from ``math`` per depth."""
-    half = params.n_photons / 2.0
+    n = params.n_photons
+    half = n / 2.0
 
-    def f(k):
-        return 2.0 * params.sigma * params.g * (math.sqrt(half + k) + math.sqrt(half - k))
+    def f(s):
+        return 2.0 * params.sigma * params.g * (math.sqrt(half + s) + math.sqrt(half - s))
 
-    y = z - params.n_photons * params.omega0
-    a = b = 1.0 / (y - f(0))
-    for k in range(params.n_photons // 2):
-        t2 = params.j_tun**2 * (half + k + 1.0) * (half - k)
-        d = y - f(k + 1) - t2 * a
+    y = z - n * params.omega0
+    s0 = n % 2 / 2
+    d = y - f(s0)
+    if n % 2 == 0:
+        a = b = 1.0 / d
+    else:
+        e = params.j_tun * (n // 2 + 1)
+        den = (d - e) * (d + e)
+        a, b = d / den, -e / den
+    for k in range(n // 2):
+        s = k + s0
+        t2 = params.j_tun**2 * (half + s + 1.0) * (half - s)
+        d = y - f(s + 1) - t2 * a
         bb = t2 * b
         den = (d - bb) * (d + bb)
         a, b = d / den, bb / den
@@ -141,7 +174,7 @@ def plain_operator_resolvent(params, z):
 @pytest.mark.parametrize("seed", range(6))
 def test_resolvent_is_bit_identical_to_the_plain_operator_loop(seed):
     rng = np.random.default_rng(seed)
-    n = 2 * int(rng.integers(1, 1001))
+    n = int(rng.integers(1, 2001))
     params = ModelParams(n_photons=n, omega0=float(rng.choice([0.0, 1.0])),
                          g=float(rng.uniform(-1.5, 1.5)), j_tun=float(rng.uniform(0.0, 1.5)),
                          sigma=int(rng.choice([1, -1])))
@@ -198,7 +231,7 @@ def test_pole_floor_checks_the_modulus_where_the_real_part_vanishes():
 def _params_and_points(draw):
     """Random sector parameters and 1-4 points across the spectrum, off the axis."""
     params = ModelParams(
-        n_photons=2 * draw(st.integers(1, 20)),
+        n_photons=draw(st.integers(1, 40)),
         omega0=draw(st.sampled_from([0.0, 1.0])),
         g=draw(st.floats(-1.5, 1.5)),
         j_tun=draw(st.floats(0.05, 1.5)),
@@ -240,12 +273,14 @@ def test_zero_tunneling_decouples_edge():
 
 
 def sign_symmetry_deviations(params, z):
-    """max |a(2 omega0 N - z, -g) + a(z, g)| and the same for b."""
+    """max |a(2 omega0 N - z, -g) + a(z, g)| and max |b(2 omega0 N - z, -g) +
+    (-1)^N b(z, g)|: the gauge (-1)^k carries (-1)^N onto the cross element."""
     z = np.asarray(z, dtype=complex)
     a1, b1 = rpm_resolvent(params, z)
     flipped = dataclasses.replace(params, g=-params.g)
     a2, b2 = rpm_resolvent(flipped, 2.0 * (params.omega0 * params.n_photons) - z)
-    return float(np.max(np.abs(a2 + a1))), float(np.max(np.abs(b2 + b1)))
+    sign = (-1) ** params.n_photons
+    return float(np.max(np.abs(a2 + a1))), float(np.max(np.abs(b2 + sign * b1)))
 
 
 def test_sign_symmetry_exact_without_offset():
@@ -260,6 +295,15 @@ def test_sign_symmetry_with_harmonic_offset():
     params = ModelParams(n_photons=10, omega0=1.0, g=1.2, j_tun=0.8)
     dev_a, dev_b = sign_symmetry_deviations(
         params, [0.25 + 0.5j, 12.5 - 2.0j, -0.125 + 0.03125j])
+    assert dev_a <= 1e-12
+    assert dev_b <= 1e-12
+
+
+@pytest.mark.parametrize("n, omega0", [(1, 0.0), (7, 0.0), (7, 1.0), (21, 1.0)])
+def test_sign_symmetry_at_odd_n(n, omega0):
+    params = ModelParams(n_photons=n, omega0=omega0, g=1.2, j_tun=0.8)
+    dev_a, dev_b = sign_symmetry_deviations(
+        params, np.array([0.25 + 0.5j, 12.5 - 2.0j, -0.125 + 0.03125j]) + omega0 * n)
     assert dev_a <= 1e-12
     assert dev_b <= 1e-12
 
@@ -290,6 +334,51 @@ def test_harmonic_limit_matches_closed_lines():
     for rho_r, rho_l in zip(rpm_spectra(params, grid, 0.05),
                             smoothed_density(*halves, grid, 0.05)):
         np.testing.assert_allclose(rho_r, rho_l, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    g=st.floats(-2.0, 2.0),
+    j=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    sigma=st.sampled_from([1, -1]),
+    omega0=st.floats(-2.0, 2.0),
+    epsilon=st.floats(0.05, 1.0),
+)
+def test_three_routes_agree_at_every_n(n, g, j, sigma, omega0, epsilon):
+    """The recursion, the parity chains and the dense oracle's merged table
+    give one pair of densities, at even and odd N alike; at g = 0 the
+    harmonic closed forms give the chains' lines and amplitudes.
+
+    Both line routes merge distinct levels closer than ``MERGE_RTOL`` (1e-9
+    relative) into one line at their mean, which moves the densities by up to
+    the gap over epsilon^2; only configurations without such a cluster are
+    compared."""
+    params = ModelParams(n_photons=n, omega0=omega0, g=g, j_tun=j, sigma=sigma)
+    h = build_sector_hamiltonian(params)
+    halves = parity_chain_spectra(h)
+    levels = np.sort(np.concatenate([half.energies for half in halves]))
+    gaps = np.diff(levels)
+    assume(not np.any((gaps > 1e-13) & (gaps <= 1e-8 * np.maximum(1.0, np.abs(levels[1:])))))
+    reach = 2.0 * float(np.max(np.abs(h.offdiag)))
+    grid = np.linspace(h.diag.min() - reach - 1.0, h.diag.max() + reach + 1.0, 257)
+    energies, w00, wn0 = spectra_from_eigen(diagonalize(h))
+    lorentz = epsilon / (epsilon**2 + (grid[:, None] - energies[None, :]) ** 2) / np.pi
+    chains = smoothed_density(*halves, grid, epsilon)
+    for rho_r, rho_c, rho_o in zip(rpm_spectra(params, grid, epsilon), chains,
+                                   (lorentz @ w00, lorentz @ wn0)):
+        assert np.max(np.abs(rho_r - rho_c)) <= 1e-10
+        assert np.max(np.abs(rho_r - rho_o)) <= 1e-10
+
+    free = dataclasses.replace(params, g=0.0)
+    halves = harmonic_line_spectra(free)
+    chain_halves = parity_chain_spectra(build_sector_hamiltonian(free))
+    for closed, chain in zip(halves, chain_halves):
+        np.testing.assert_allclose(closed.energies, chain.energies, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(closed.weights, chain.weights, rtol=0, atol=1e-12)
+    ret, tra = evolve(*chain_halves, 10.0, 0.01)
+    for closed, synthesized in zip(harmonic_amplitudes(free, ret.times), (ret, tra)):
+        np.testing.assert_allclose(closed.values, synthesized.values, rtol=0, atol=1e-10)
 
 
 def test_spectra_input_validation():

@@ -71,3 +71,8 @@ def test_check_result_shape():
     assert isinstance(result, CheckResult)
     assert result.name == "completeness"
     assert result.data["max_deviation"] <= 1e-10
+
+
+def test_small_grid_holds_even_and_odd_photon_numbers():
+    """The routes are cross-checked at both parities of N."""
+    assert {p.n_photons % 2 for p in validation._SMALL_GRID} == {0, 1}
