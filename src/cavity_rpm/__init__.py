@@ -14,7 +14,7 @@ those results; other types, exceptions and helpers come from their modules.
 
 __version__ = "1.0.0"
 
-from .core import ModelParams, amplitude_from_lines, edge_lines, smoothed_density
+from .core import ModelParams, edge_lines, smoothed_density
 from .dynamics import evolve, first_transfer_time
 from .effective import (
     build_sector_hamiltonian,
@@ -22,14 +22,13 @@ from .effective import (
     parity_chain_spectra,
     spectra_from_eigen,
 )
-from .entanglement import noon_feasibility, sample_joint
+from .entanglement import sample_joint
 from .harmonic import harmonic_amplitudes, harmonic_line_spectra
 from .jc import rabi_amplitudes
 from .rpm import rpm_resolvent, rpm_spectra
 
 __all__ = [
     "ModelParams",
-    "amplitude_from_lines",
     "build_sector_hamiltonian",
     "diagonalize",
     "edge_lines",
@@ -37,7 +36,6 @@ __all__ = [
     "first_transfer_time",
     "harmonic_amplitudes",
     "harmonic_line_spectra",
-    "noon_feasibility",
     "parity_chain_spectra",
     "rabi_amplitudes",
     "rpm_resolvent",

@@ -5,8 +5,8 @@ optional JSON config file, then explicit flags, and writes plot-ready CSV
 files next to JSON sidecars echoing the full resolved configuration.
 Identical configurations produce byte-identical output.
 
-Exit codes: 0 ok, 2 configuration error (including a time grid too large
-to allocate), 3 numerical failure, 4 validation failure.
+Exit codes: 0 ok, 2 configuration error (including a non-finite value and a
+time grid too large to allocate), 3 numerical failure, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ _KEYS = {
     "sweep_n": (None, (int,), None),
 }
 DEFAULTS = {key: default for key, (default, _, _) in _KEYS.items()}
-_KIND_NAMES = {float: "a number", int: "an integer", str: "a string",
-               (float,): "a list of numbers", (int,): "a list of integers",
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               (float,): "a list of finite numbers", (int,): "a list of integers",
                (str,): "a list of strings"}
 
 # rows of a CSV file converted to Python floats at once
@@ -90,9 +90,12 @@ def _has_kind(value, kind) -> bool:
         return isinstance(value, list) and all(_has_kind(v, kind[0]) for v in value)
     if kind is str:
         return isinstance(value, str)
-    # JSON true and false are not numbers
+    # JSON true and false are not numbers; no key takes NaN, an infinity (JSON
+    # NaN, Infinity, 1e999; a flag's nan, inf) or an integer beyond double range
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return number and (kind is float or isinstance(value, int) or float(value).is_integer())
+    if not number or not abs(value) <= sys.float_info.max:
+        return False
+    return kind is float or isinstance(value, int) or float(value).is_integer()
 
 
 def _resolve(config_path: str | None, overrides: dict) -> dict:
@@ -136,9 +139,10 @@ def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]):
 
 
 def _write_json(path: Path, payload: dict):
+    # RFC 8259 has no NaN or Infinity: refuse them before the file is opened
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _sidecar(command: str, cfg: dict, extra: dict | None = None) -> dict:
@@ -352,6 +356,8 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
         dt = dt_default if cfg["dt"] is None else float(cfg["dt"])
         if t_max < 0:
             raise ValueError(f"tmax must be >= 0, got {t_max}")
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
         if first_transfer and t_max == 0:
             raise ValueError("first-transfer needs a non-empty time window")
         models = [cfg["model"]]

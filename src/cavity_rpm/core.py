@@ -39,7 +39,6 @@ __all__ = [
     "merge_degenerate_lines",
     "edge_lines",
     "smoothed_density",
-    "amplitude_from_lines",
     "resolvent_from_lines",
 ]
 
@@ -276,101 +275,6 @@ def smoothed_density(sym: LineSpectrum, anti: LineSpectrum, energies, epsilon: f
         rho00[lo:hi] = lorentz @ w00 / np.pi
         rhon0[lo:hi] = np.real(lorentz @ wn0 / np.pi)
     return rho00, rhon0
-
-
-def _two_product(a: float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a * b`` as a rounded product plus its exact rounding error (Dekker)."""
-
-    def split(x):
-        # Veltkamp: 26 high bits and the rest, so that partial products are exact
-        scaled = 134217729.0 * x
-        high = scaled - (scaled - x)
-        return high, x - high
-
-    product = a * b
-    a_hi, a_lo = split(np.float64(a))
-    b_hi, b_lo = split(b)
-    # ((a_hi b_hi - product) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, in this order,
-    # summed in place to keep full-length temporaries few
-    error = a_hi * b_hi
-    error -= product
-    error += a_hi * b_lo
-    error += a_lo * b_hi
-    error += a_lo * b_lo
-    return product, error
-
-
-def _block_sums(energies: np.ndarray, weights: np.ndarray, times, centre: float) -> np.ndarray:
-    """``sum_j w_j exp(-i (E_j - c) t)`` on a uniform grid: the block synthesis
-    of :func:`amplitude_from_lines` without the common phase ``exp(-i c t)``.
-
-    Takes any number of lines, none included (the sums are then zero).  Lines
-    of zero weight add nothing and are skipped.
-    """
-    reached = weights != 0
-    energies, weights = energies[reached], weights[reached]
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("times must be a non-empty 1-d array")
-    n = t.size
-    step = float(t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
-    offsets = np.arange(n) * step
-    shifted = energies - centre
-    # a departure from the uniform grid moves a phase by up to reach * departure;
-    # allow no more than rounding the phases costs anyway
-    reach = float(np.max(np.abs(shifted), initial=0.0))
-    departure = float(np.max(np.abs(t - (t[0] + offsets))))
-    largest = max(abs(float(t[0])), abs(float(t[-1])))
-    if reach * departure > 16 * np.finfo(float).eps * (reach * largest + 1.0):
-        raise ValueError("time grid must be uniform to rounding")
-    block = math.ceil(math.sqrt(n))
-    table = np.exp(-1j * np.outer(offsets[:block], shifted))
-    phasors = weights * np.exp(-1j * np.outer(t[::block], shifted))
-    values = np.empty(n, dtype=complex)
-    for start, phasor in zip(range(0, n, block), phasors):
-        stop = min(start + block, n)
-        values[start:stop] = table[:stop - start] @ phasor
-    return values
-
-
-def _common_phase(centre: float, times: np.ndarray) -> np.ndarray:
-    """``exp(-i c t)`` with ``c t`` carried to twice working precision."""
-    phase, error = _two_product(centre, times)
-    # |error| <= ulp(c t) / 2, so exp(-i error) = 1 - i error to within eps^2
-    return np.exp(-1j * phase) * (1.0 - 1j * error)
-
-
-def amplitude_from_lines(spec: LineSpectrum, times) -> AmplitudeSeries:
-    """Synthesize the time amplitude ``sum_j w_j exp(-i E_j t)`` on a uniform grid.
-
-    The n samples are split into blocks of ``B = ceil(sqrt(n))``.  With the
-    energies measured from the centre ``c`` of the line span, one table
-    ``exp(-i (E_j - c) s h)`` for ``s = 0..B-1`` (``h`` the grid step) serves
-    every block; each block multiplies it by its own phasors
-    ``w_j exp(-i (E_j - c) t_b)``, taken directly at the block's first time
-    ``t_b`` so that no rounding carries from one block to the next.  The
-    common phase ``exp(-i c t)`` is applied per sample, with ``c t`` carried
-    to twice working precision so that it adds no error shared by all lines.
-    That is about ``2 sqrt(n) L + n`` complex exponentials for L lines,
-    instead of ``n L``, and one matrix-vector product per block; memory is
-    O(n + sqrt(n) L).
-
-    Accuracy: each line's phase is rounded about as often as in the direct
-    sum ``exp(-1j * np.outer(t, E)) @ w``, and the two agree to within
-    ``8 eps (max|E| max|t| + L) sum|w_j|``.
-
-    Raises
-    ------
-    ValueError
-        If ``times`` is empty, not 1-d, or departs from a uniform grid by
-        more than rounding: by so much that some phase ``(E_j - c) t`` moves
-        by over ``16 eps (max|E_j - c| max|t| + 1)``.
-    """
-    t = np.asarray(times, dtype=float)
-    centre = 0.5 * (spec.energies[0] + spec.energies[-1])
-    values = _block_sums(spec.energies, spec.weights, t, centre)
-    values *= _common_phase(centre, t)
-    return AmplitudeSeries(times=t, values=values)
 
 
 def resolvent_from_lines(spec: LineSpectrum, z: complex) -> complex:

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AMPLITUDE_BOUND_TOL, AmplitudeSeries, ModelParams, _readonly, edge_lines
-from .dynamics import evolve
-from .effective import build_sector_hamiltonian, parity_chain_spectra
+from .core import AMPLITUDE_BOUND_TOL, AmplitudeSeries, ModelParams, _readonly
 
 __all__ = [
     "JointHistogram",
@@ -23,7 +21,6 @@ __all__ = [
     "sample_joint",
     "noon_score",
     "score_samples",
-    "noon_feasibility",
     "default_sampling_window",
 ]
 
@@ -116,7 +113,9 @@ def default_sampling_window(params: ModelParams, energies) -> tuple[float, float
 
 @dataclass(frozen=True)
 class NoonFeasibility:
-    """Summary triple of a feasibility scan."""
+    """Summary of a feasibility scan: the best score, the earliest time
+    attaining it, the fraction of samples scoring above ``threshold``, and the
+    sample count."""
 
     max_score: float
     argmax_time: float
@@ -142,23 +141,3 @@ def score_samples(
         threshold=threshold,
         n_samples=len(ret),
     )
-
-
-def noon_feasibility(
-    params: ModelParams,
-    t_max: float | None = None,
-    dt: float | None = None,
-    threshold: float = 0.55,
-) -> NoonFeasibility:
-    """Scan the evolved dynamics and summarize N00N-state reachability.
-
-    Evolves the sector's parity-chain halves over the window and summarizes
-    it with :func:`score_samples`.
-    """
-    halves = parity_chain_spectra(build_sector_hamiltonian(params))
-    if t_max is None or dt is None:
-        auto_tmax, auto_dt = default_sampling_window(params, edge_lines(*halves)[0])
-        t_max = auto_tmax if t_max is None else t_max
-        dt = auto_dt if dt is None else dt
-    ret, tra = evolve(*halves, t_max, dt)
-    return score_samples(ret, tra, threshold)

@@ -260,6 +260,19 @@ def test_every_common_flag_reaches_its_config_key(tmp_path):
     # the pair denominator overflows but d stays finite: a flushes to 0
     (("spectrum", "--model", "anharmonic-rpm", "--N", 10, "--epsilon", 1e200),
      '{"grid": [0, 1], "points": 5}', 3),
+    # non-finite values of keys the command does not read, or reads only to echo
+    (("spectrum", "--model", "harmonic", "--N", 4, "--tmax", "nan"), None, 2),
+    (("dynamics", "--model", "harmonic", "--N", 4, "--epsilon", "nan"), None, 2),
+    (("noon", "--model", "harmonic", "--N", 4, "--tmax", 20), '{"noon_threshold": 1e999}', 2),
+    (("dynamics", "--model", "harmonic", "--N", 4, "--tmax", 0, "--dt", "inf"), None, 2),
+    # integers beyond double range
+    (("spectrum", "--model", "harmonic", "--N", 4), '{"g": 1%s}' % ("0" * 400), 2),
+    (("spectrum", "--model", "harmonic", "--N", 4), '{"tmax": 1%s}' % ("0" * 400), 2),
+    (("dynamics", "--model", "harmonic", "--N", 4, "--tmax", 0, "--dt", -1), None, 2),
+    (("dynamics", "--model", "harmonic", "--N", 4, "--tmax", 0, "--dt", 0), None, 2),
+    # tmax / dt overflows
+    (("dynamics", "--model", "harmonic", "--N", 4, "--tmax", 1e300, "--dt", 1e-10), None, 2),
+    (("noon", "--model", "harmonic", "--N", 4, "--tmax", 1e300, "--dt", 1e-10), None, 2),
 ], ids=[
     "harmonic-J-nan", "rpm-J-inf", "rpm-epsilon-inf", "rpm-epsilon-1e308",
     "grid-1e999", "dynamics-tmax-inf", "noon-tmax-inf",
@@ -267,7 +280,11 @@ def test_every_common_flag_reaches_its_config_key(tmp_path):
     "rpm-epsilon-overflow", "grid-null", "points-null", "points-1e999", "bins-null",
     "sweep-n-null", "epsilon-string", "noon-threshold-string",
     "transfer-threshold-string", "empty-window-first-transfer", "g-boolean",
-    "time-grid-too-large", "rpm-epsilon-overflow-to-zero",
+    "time-grid-too-large", "rpm-epsilon-overflow-to-zero", "spectrum-tmax-nan",
+    "dynamics-epsilon-nan", "noon-threshold-1e999", "empty-window-dt-inf",
+    "g-integer-beyond-double", "tmax-integer-beyond-double",
+    "empty-window-dt-negative", "empty-window-dt-zero", "dynamics-steps-overflow",
+    "noon-steps-overflow",
 ])
 def test_bad_numeric_input_exits_without_csv(tmp_path, args, config, code):
     extra = ()
@@ -278,7 +295,7 @@ def test_bad_numeric_input_exits_without_csv(tmp_path, args, config, code):
     out = tmp_path / "out"
     result = invoke(*args, *extra, "--out", out)
     assert result.exit_code == code, result.output
-    assert list(out.glob("*.csv")) == []
+    assert list(out.glob("*.csv")) == [] and list(out.glob("*.json")) == []
 
 
 @pytest.mark.parametrize("command, model", [
@@ -380,3 +397,33 @@ def test_validate_failure_exits_4(tmp_path, monkeypatch):
     assert result.exit_code == 4
     report = json.loads((tmp_path / "validation_report.json").read_text())
     assert report["passed"] is False
+
+
+def test_validate_failure_with_non_finite_figures_writes_strict_json(tmp_path, monkeypatch):
+    """A failed check may report NaN or an infinity; the report holds them as
+    text, so that a parser without NaN and Infinity reads it."""
+    data = {"max_deviation": float("inf"), "first_failure": {"relative_error": float("nan")}}
+    monkeypatch.setitem(
+        validation.CHECKS, "non_finite",
+        lambda: CheckResult("non_finite", False, "forced non-finite figures", data),
+    )
+    config = tmp_path / "forced.json"
+    config.write_text(json.dumps({"checks": ["non_finite"]}))
+    result = invoke("validate", "--config", config, "--out", tmp_path)
+    assert result.exit_code == 4
+
+    def refuse(name):
+        raise ValueError(f"not RFC 8259 JSON: {name}")
+
+    text = (tmp_path / "validation_report.json").read_text()
+    report = json.loads(text, parse_constant=refuse)
+    assert report["checks"][0]["data"] == {
+        "max_deviation": "inf", "first_failure": {"relative_error": "nan"}}
+
+
+def test_sidecar_with_a_non_finite_value_is_refused_unwritten(tmp_path):
+    path = tmp_path / "sidecar.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="JSON"):
+            cli._write_json(path, {"config": {"tmax": bad}})
+        assert not path.exists()

@@ -1,4 +1,4 @@
-"""Unit tests for the shared spectral-line types and synthesis helpers."""
+"""Unit tests for the shared spectral-line types, line merging and broadening."""
 
 import dataclasses
 import math
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cavity_rpm
@@ -18,12 +18,12 @@ from cavity_rpm.core import (
     AmplitudeSeries,
     LineSpectrum,
     ModelParams,
-    amplitude_from_lines,
     edge_lines,
     merge_degenerate_lines,
     resolvent_from_lines,
     smoothed_density,
 )
+from cavity_rpm.dynamics import evolve
 
 
 def test_model_params_validation():
@@ -250,68 +250,6 @@ def test_smoothed_density_single_lorentzian():
         smoothed_density(spec, spec, [], eps)
 
 
-def test_amplitude_from_lines_matches_cosine():
-    spec = LineSpectrum(energies=[-0.8, 0.8], weights=[0.5, 0.5])
-    t = np.linspace(0.0, 20.0, 501)
-    series = amplitude_from_lines(spec, t)
-    np.testing.assert_allclose(series.values, np.cos(0.8 * t), atol=1e-12)
-
-
-@st.composite
-def _lines_and_grid(draw):
-    """A random line spectrum and a uniform time grid."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    centre = draw(st.floats(-200.0, 200.0))
-    spread = draw(st.floats(1e-3, 100.0))
-    energies = np.unique(centre + spread * rng.uniform(-1.0, 1.0, draw(st.integers(1, 60))))
-    weights = rng.uniform(0.0, 1.0, energies.size) + 1e-3
-    weights /= np.sum(weights)
-    n = draw(st.one_of(st.sampled_from([1, 2, 4, 9, 256, 1024]), st.integers(1, 3000)))
-    if draw(st.booleans()):
-        start = draw(st.floats(-500.0, 500.0))
-        times = np.linspace(start, start + draw(st.floats(0.0, 500.0)), n)
-    else:
-        times = np.arange(n) * draw(st.floats(1e-3, 1.0))
-    return energies, weights, times
-
-
-@settings(max_examples=300, deadline=None)
-@given(_lines_and_grid())
-def test_amplitude_from_lines_matches_direct_sum(case):
-    """The block synthesis agrees with the direct sum to its rounding scale,
-    for |E t| up to about 3e5."""
-    energies, weights, times = case
-    spec = LineSpectrum(energies=energies, weights=weights)
-    got = amplitude_from_lines(spec, times).values
-    direct = np.exp(-1j * np.outer(times, energies)) @ weights
-    # phase rounding grows with |E t|; the L-term sums add a few eps
-    scale = np.max(np.abs(energies)) * np.max(np.abs(times)) + energies.size
-    assert np.max(np.abs(got - direct)) <= 8 * np.finfo(float).eps * scale
-
-
-def test_amplitude_from_lines_carries_the_common_phase_exactly():
-    """For one line the synthesis is exp(-i E t) with E t carried exactly: the
-    error stays at a few eps where rounding E t alone would cost 1e-11."""
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.prec = 120
-    energy = 123.456789
-    spec = LineSpectrum(energies=[energy], weights=[1.0])
-    t = np.arange(20001) * 0.0999
-    got = amplitude_from_lines(spec, t).values[::500]
-    exact = [complex(mpmath.expj(-mpmath.mpf(energy) * mpmath.mpf(x))) for x in t[::500]]
-    assert np.max(np.abs(got - exact)) <= 4 * np.finfo(float).eps
-
-
-def test_amplitude_from_lines_rejects_grid_uniform_only_to_1e_9():
-    spec = LineSpectrum(energies=[-0.8, 0.8], weights=[0.5, 0.5])
-    t = np.linspace(0.0, 20.0, 501)
-    t[250] += 1e-12
-    with pytest.raises(ValueError, match="uniform"):
-        amplitude_from_lines(spec, t)
-    with pytest.raises(ValueError):
-        amplitude_from_lines(spec, [])
-
-
 def test_amplitude_series_invariants():
     with pytest.raises(ValueError, match="uniform"):
         AmplitudeSeries(times=[0.0, 1.0, 3.0], values=[1.0, 1.0, 1.0])
@@ -337,7 +275,6 @@ def test_time_average_recovers_summed_square_weights():
     w = rng.uniform(0.1, 1.0, 9)
     w /= w.sum()
     spec = LineSpectrum(energies=energies, weights=w)
-    t = np.arange(0.0, 10000.0, 0.05)
-    series = amplitude_from_lines(spec, t)
+    series, _ = evolve(spec, spec, 10000.0, 0.05)
     mean_sq = float(np.mean(np.abs(series.values) ** 2))
     assert mean_sq == pytest.approx(float(np.sum(w**2)), abs=1e-3)

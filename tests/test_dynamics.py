@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavity_rpm.core import LineSpectrum, ModelParams, amplitude_from_lines
+from cavity_rpm.core import LineSpectrum, ModelParams
 from cavity_rpm.dynamics import default_time_grid, evolve, first_transfer_time
 from cavity_rpm.effective import (
     build_sector_hamiltonian,
@@ -68,6 +68,55 @@ def test_evolve_conserves_probability():
     assert float(np.max(total)) <= 1.0 + 1e-9
 
 
+def test_evolve_of_one_spectrum_matches_cosine():
+    spec = LineSpectrum(energies=[-0.8, 0.8], weights=[0.5, 0.5])
+    ret, tra = evolve(spec, spec, 20.0, 0.04)
+    assert len(ret) == 501
+    np.testing.assert_allclose(ret.values, np.cos(0.8 * ret.times), atol=1e-12)
+    assert np.all(tra.values == 0)
+
+
+@st.composite
+def _lines_and_grid(draw):
+    """A random line spectrum, a sample count n >= 2 and a step dt."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centre = draw(st.floats(-200.0, 200.0))
+    spread = draw(st.floats(1e-3, 100.0))
+    energies = np.unique(centre + spread * rng.uniform(-1.0, 1.0, draw(st.integers(1, 60))))
+    weights = rng.uniform(0.0, 1.0, energies.size) + 1e-3
+    weights /= np.sum(weights)
+    n = draw(st.one_of(st.sampled_from([2, 4, 9, 256, 1024]), st.integers(2, 3000)))
+    return energies, weights, n, draw(st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lines_and_grid())
+def test_evolve_matches_direct_sum(case):
+    """The block synthesis of one spectrum agrees with the direct sum to its
+    rounding scale, for |E t| up to about 3e5."""
+    energies, weights, n, dt = case
+    spec = LineSpectrum(energies=energies, weights=weights)
+    ret, _ = evolve(spec, spec, (n - 1) * dt, dt)
+    direct = np.exp(-1j * np.outer(ret.times, energies)) @ weights
+    # phase rounding grows with |E t|; the L-term sums add a few eps
+    scale = np.max(np.abs(energies)) * ret.times[-1] + energies.size
+    assert np.max(np.abs(ret.values - direct)) <= 8 * np.finfo(float).eps * scale
+
+
+def test_evolve_carries_the_common_phase_exactly():
+    """For one line the synthesis is exp(-i E t) with E t carried exactly: the
+    error stays at a few eps where rounding E t alone would cost 1e-11."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 120
+    energy = 123.456789
+    spec = LineSpectrum(energies=[energy], weights=[1.0])
+    ret, _ = evolve(spec, spec, 20000 * 0.0999, 0.0999)
+    t = ret.times[::500]
+    assert t.size == 41 and np.array_equal(t, np.arange(0, 20001, 500) * 0.0999)
+    exact = [complex(mpmath.expj(-mpmath.mpf(energy) * mpmath.mpf(x))) for x in t]
+    assert np.max(np.abs(ret.values[::500] - exact)) <= 4 * np.finfo(float).eps
+
+
 def test_evolve_input_validation():
     sym, anti = halves_for(ModelParams(n_photons=4, omega0=1.0, g=0.9, j_tun=0.8))
     with pytest.raises(ValueError):
@@ -77,6 +126,8 @@ def test_evolve_input_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="t_max must be finite"):
             evolve(sym, anti, bad, 0.01)
+    with pytest.raises(ValueError, match="time grid too large"):
+        evolve(sym, anti, 1e300, 1e-10)
 
 
 @st.composite
@@ -104,14 +155,14 @@ def _sector_spectra(draw):
 @given(halves=_sector_spectra(), n=st.integers(1, 1000), dt=st.floats(1e-3, 0.1))
 def test_evolve_matches_two_direct_syntheses(halves, n, dt):
     """The two half sums under one common phase agree with one synthesis per
-    half and with the direct sums, combined as ``(S +- A)/2``, to the
+    half, each under its own common phase, and with the direct sums, combined as ``(S +- A)/2``, to the
     synthesis tolerance ``8 eps (max|E| max|t| + L) sum|w|``, where ``w``
     are the weights of both halves halved (their sum is 1)."""
     ret, tra = evolve(*halves, n * dt, dt)
     energies = np.concatenate([half.energies for half in halves])
     scale = np.max(np.abs(energies)) * ret.times[-1] + energies.size
     tol = 8 * np.finfo(float).eps * scale
-    sym, anti = (amplitude_from_lines(half, ret.times) for half in halves)
+    sym, anti = (evolve(half, half, n * dt, dt)[0] for half in halves)
     assert np.array_equal(sym.times, ret.times)
     direct_sym, direct_anti = (
         np.exp(-1j * np.outer(ret.times, half.energies)) @ half.weights for half in halves)

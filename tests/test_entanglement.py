@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cavity_rpm.core import AmplitudeSeries, ModelParams, amplitude_from_lines, edge_lines
+from cavity_rpm.core import AmplitudeSeries, ModelParams, edge_lines
 from cavity_rpm.dynamics import evolve
 from cavity_rpm.effective import (
     build_sector_hamiltonian,
@@ -16,9 +16,9 @@ from cavity_rpm.effective import (
 from cavity_rpm.entanglement import (
     JointHistogram,
     default_sampling_window,
-    noon_feasibility,
     noon_score,
     sample_joint,
+    score_samples,
 )
 from cavity_rpm.harmonic import harmonic_amplitudes, harmonic_line_spectra
 
@@ -123,27 +123,25 @@ def test_default_sampling_window():
     assert dt0 == 0.01
 
 
+def scan(params, t_max, dt):
+    """Scores of the sector's parity-chain dynamics over [0, t_max]."""
+    halves = parity_chain_spectra(build_sector_hamiltonian(params))
+    return score_samples(*evolve(*halves, t_max, dt), threshold=0.55)
+
+
 def test_feasibility_of_balanced_beamsplitter_dynamics():
     # N = 2 harmonic scores are constant 1/2: the argmax is degenerate,
     # only the value is pinned
-    feas = noon_feasibility(
-        ModelParams(n_photons=2, omega0=1.0, g=0.0, j_tun=0.8),
-        t_max=50.0, dt=0.01, threshold=0.55,
-    )
+    feas = scan(ModelParams(n_photons=2, omega0=1.0, g=0.0, j_tun=0.8), 50.0, 0.01)
     assert feas.max_score == pytest.approx(0.5, abs=1e-9)
     assert feas.fraction_above == 0.0
     assert feas.n_samples == 5001
 
 
 def test_feasibility_anharmonic_beats_harmonic():
-    anharmonic = noon_feasibility(
-        ModelParams(n_photons=6, omega0=1.0, g=1.2, j_tun=0.8),
-        t_max=200.0, dt=0.01,
-    )
-    harmonic = noon_feasibility(
-        ModelParams(n_photons=6, omega0=1.0, g=0.0, j_tun=0.8),
-        t_max=200.0, dt=0.01,
-    )
+    anharmonic, harmonic = (
+        scan(ModelParams(n_photons=6, omega0=1.0, g=g, j_tun=0.8), 200.0, 0.01)
+        for g in (1.2, 0.0))
     assert anharmonic.max_score > 0.8
     assert anharmonic.max_score <= 1.0 + 1e-9
     assert 0.0 < anharmonic.fraction_above < 1.0
@@ -171,7 +169,7 @@ def test_noon_histogram_from_half_sums_equals_direct_syntheses():
     halves = parity_chain_spectra(build_sector_hamiltonian(params))
     _, dt = default_sampling_window(params, edge_lines(*halves)[0])
     ret, tra = evolve(*halves, 150.0, dt)
-    sym, anti = (amplitude_from_lines(half, ret.times).values for half in halves)
+    sym, anti = (evolve(half, half, 150.0, dt)[0].values for half in halves)
     direct = sample_joint(AmplitudeSeries(ret.times, (sym + anti) / 2),
                           AmplitudeSeries(ret.times, (sym - anti) / 2), bins=50)
     np.testing.assert_array_equal(sample_joint(ret, tra, bins=50).bins, direct.bins)

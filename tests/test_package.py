@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 API = {
     "ModelParams",
-    "amplitude_from_lines",
     "build_sector_hamiltonian",
     "diagonalize",
     "edge_lines",
@@ -21,7 +20,6 @@ API = {
     "first_transfer_time",
     "harmonic_amplitudes",
     "harmonic_line_spectra",
-    "noon_feasibility",
     "parity_chain_spectra",
     "rabi_amplitudes",
     "rpm_resolvent",
@@ -42,7 +40,7 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 def test_namespace_is_the_api_and_version():
     assert sorted(cavity_rpm.__all__) == sorted(API | {"__version__"})
-    assert len(cavity_rpm.__all__) == 18
+    assert len(cavity_rpm.__all__) == 16
     for name in cavity_rpm.__all__:
         assert getattr(cavity_rpm, name) is not None
     # submodules aside, the package binds no other public name
