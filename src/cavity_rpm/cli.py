@@ -12,6 +12,7 @@ time grid too large to allocate), 3 numerical failure, 4 validation failure.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -110,6 +111,9 @@ def _resolve(config_path: str | None, overrides: dict) -> dict:
             raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     if cfg["model"] not in MODELS:
         raise ValueError(f"model must be one of {', '.join(MODELS)}, got {cfg['model']!r}")
+    # no model has a detuning; the key stays for configs that spell "delta": 0.0
+    if cfg["delta"] != 0:
+        raise ValueError(f"delta must be 0 (every model is resonant), got {cfg['delta']!r}")
     return cfg
 
 
@@ -120,7 +124,6 @@ def _params(cfg: dict) -> ModelParams:
         g=cfg["g"],
         j_tun=cfg["J"],
         sigma=cfg["sigma"],
-        delta=cfg["delta"],
     )
 
 
@@ -250,17 +253,23 @@ def _fail(exc: Exception | str, code: int):
     sys.exit(code)
 
 
-def _guarded(fn):
-    try:
-        fn()
-    except NumericalFailureError as exc:
-        _fail(exc, 3)
-    except OverflowError as exc:
-        _fail(f"float overflow: {exc}", 3)
-    except ValueError as exc:
-        _fail(exc, 2)
-    except MemoryError as exc:
-        _fail(f"out of memory: {exc}", 2)
+def _exit_codes(command):
+    """``command`` with its failures mapped to the documented exit codes."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except NumericalFailureError as exc:
+            _fail(exc, 3)
+        except OverflowError as exc:
+            _fail(f"float overflow: {exc}", 3)
+        except ValueError as exc:
+            _fail(exc, 2)
+        except MemoryError as exc:
+            _fail(f"out of memory: {exc}", 2)
+
+    return run
 
 
 @click.group()
@@ -274,55 +283,52 @@ def main():
 @click.option("--compare", is_flag=True,
               help="Evaluate recursion and eigensolver densities on one grid "
                    "and report their largest difference.")
+@_exit_codes
 def spectrum(config_path, out, compare, **flag_values):
     """Write line spectra or broadened densities of the edge states."""
-
-    def run():
-        cfg = _resolve(config_path, flag_values)
-        params = _params(cfg)
-        out_path = _out_dir(out)
-        if compare:
-            if cfg["epsilon"] is None:
-                raise ValueError("--compare needs epsilon to evaluate densities")
-            grid = _energy_grid({**cfg, "model": "anharmonic-rpm"}, params)
-            r00, rn0 = _smoothed_pair("anharmonic-rpm", params, grid, cfg["epsilon"])
-            o00, on0 = _smoothed_pair("anharmonic-oracle", params, grid, cfg["epsilon"])
-            csv_path = out_path / "spectrum_compare.csv"
-            _write_csv(csv_path, [
-                ("energy", grid),
-                ("rho00_rpm", r00), ("rhoN0_rpm", rn0),
-                ("rho00_oracle", o00), ("rhoN0_oracle", on0),
-            ])
-            report = {
-                "linf_rho00": float(np.max(np.abs(r00 - o00))),
-                "linf_rhoN0": float(np.max(np.abs(rn0 - on0))),
-                "grid_points": int(grid.size),
-            }
-            _write_json(csv_path.with_suffix(".json"), _sidecar("spectrum", cfg, {
-                "compare": report,
-                "diagnostics": {"anharmonic-rpm": _density_diagnostics(rn0)},
-            }))
-            click.echo(f"wrote {csv_path}")
-            return
-        extra = None
+    cfg = _resolve(config_path, flag_values)
+    params = _params(cfg)
+    out_path = _out_dir(out)
+    if compare:
         if cfg["epsilon"] is None:
-            lines = edge_lines(*_line_spectra(cfg["model"], params))
-            csv_path = out_path / f"spectrum_{cfg['model']}.csv"
-            _write_csv(csv_path, list(zip(("energy", "weight00", "weightN0"), lines)))
-            extra = {"diagnostics": {cfg["model"]: _diagnostics(lines)}}
-        else:
-            grid = _energy_grid(cfg, params)
-            rho00, rhon0 = _smoothed_pair(cfg["model"], params, grid, cfg["epsilon"])
-            csv_path = out_path / f"spectrum_{cfg['model']}.csv"
-            _write_csv(csv_path, [
-                ("energy", grid), ("rho00", rho00), ("rhoN0", rhon0),
-            ])
-            if cfg["model"] == "anharmonic-rpm":
-                extra = {"diagnostics": {"anharmonic-rpm": _density_diagnostics(rhon0)}}
-        _write_json(csv_path.with_suffix(".json"), _sidecar("spectrum", cfg, extra))
+            raise ValueError("--compare needs epsilon to evaluate densities")
+        grid = _energy_grid({**cfg, "model": "anharmonic-rpm"}, params)
+        r00, rn0 = _smoothed_pair("anharmonic-rpm", params, grid, cfg["epsilon"])
+        o00, on0 = _smoothed_pair("anharmonic-oracle", params, grid, cfg["epsilon"])
+        csv_path = out_path / "spectrum_compare.csv"
+        _write_csv(csv_path, [
+            ("energy", grid),
+            ("rho00_rpm", r00), ("rhoN0_rpm", rn0),
+            ("rho00_oracle", o00), ("rhoN0_oracle", on0),
+        ])
+        report = {
+            "linf_rho00": float(np.max(np.abs(r00 - o00))),
+            "linf_rhoN0": float(np.max(np.abs(rn0 - on0))),
+            "grid_points": int(grid.size),
+        }
+        _write_json(csv_path.with_suffix(".json"), _sidecar("spectrum", cfg, {
+            "compare": report,
+            "diagnostics": {"anharmonic-rpm": _density_diagnostics(rn0)},
+        }))
         click.echo(f"wrote {csv_path}")
-
-    _guarded(run)
+        return
+    extra = None
+    if cfg["epsilon"] is None:
+        lines = edge_lines(*_line_spectra(cfg["model"], params))
+        csv_path = out_path / f"spectrum_{cfg['model']}.csv"
+        _write_csv(csv_path, list(zip(("energy", "weight00", "weightN0"), lines)))
+        extra = {"diagnostics": {cfg["model"]: _diagnostics(lines)}}
+    else:
+        grid = _energy_grid(cfg, params)
+        rho00, rhon0 = _smoothed_pair(cfg["model"], params, grid, cfg["epsilon"])
+        csv_path = out_path / f"spectrum_{cfg['model']}.csv"
+        _write_csv(csv_path, [
+            ("energy", grid), ("rho00", rho00), ("rhoN0", rhon0),
+        ])
+        if cfg["model"] == "anharmonic-rpm":
+            extra = {"diagnostics": {"anharmonic-rpm": _density_diagnostics(rhon0)}}
+    _write_json(csv_path.with_suffix(".json"), _sidecar("spectrum", cfg, extra))
+    click.echo(f"wrote {csv_path}")
 
 
 def _amplitude_columns(prefix: str, ret, tra) -> list[tuple[str, np.ndarray]]:
@@ -339,61 +345,58 @@ def _amplitude_columns(prefix: str, ret, tra) -> list[tuple[str, np.ndarray]]:
               help="Add the harmonic baseline at the same N, J and omega0.")
 @click.option("--first-transfer", "first_transfer", is_flag=True,
               help="Also write the first transition-peak time per model.")
+@_exit_codes
 def dynamics(config_path, out, compare, first_transfer, **flag_values):
     """Write return and transition amplitude time series."""
-
-    def run():
-        cfg = _resolve(config_path, flag_values)
-        params = _params(cfg)
-        if cfg["model"] == "anharmonic-rpm":
-            raise ValueError(
-                "dynamics needs a line-resolved model "
-                "(jc, harmonic or anharmonic-oracle)"
-            )
-        out_path = _out_dir(out)
-        t_default, dt_default = default_time_grid(params)
-        t_max = t_default if cfg["tmax"] is None else float(cfg["tmax"])
-        dt = dt_default if cfg["dt"] is None else float(cfg["dt"])
-        if t_max < 0:
-            raise ValueError(f"tmax must be >= 0, got {t_max}")
-        if not dt > 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        if first_transfer and t_max == 0:
-            raise ValueError("first-transfer needs a non-empty time window")
-        models = [cfg["model"]]
-        if compare and cfg["model"] != "harmonic":
-            models.append("harmonic")
-        csv_path = out_path / f"dynamics_{cfg['model']}.csv"
-        prefixes = {m: "" if m == cfg["model"] else "harmonic_" for m in models}
-        transfer: dict[str, float | None] = {}
-        diagnostics: dict[str, dict] = {}
-        if t_max == 0:
-            names = ["t"] + [prefixes[m] + c for m in models for c in AMPLITUDE_SUFFIXES]
-            _write_csv(csv_path, [(name, ()) for name in names])
-        else:
-            columns: list[tuple[str, np.ndarray]] = []
-            for model in models:
-                halves = _line_spectra(model, params)
-                diagnostics[model] = _diagnostics(edge_lines(*halves))
-                ret, tra = evolve(*halves, t_max, dt)
-                if not columns:
-                    columns.append(("t", ret.times))
-                columns += _amplitude_columns(prefixes[model], ret, tra)
-                transfer[model] = first_transfer_time(tra, cfg["transfer_threshold"])
-            _write_csv(csv_path, columns)
-        extra = {"t_max": t_max, "dt": dt, "diagnostics": diagnostics}
-        if first_transfer:
-            transfer_path = out_path / "first_transfer.json"
-            _write_json(transfer_path, {
-                "threshold": cfg["transfer_threshold"],
-                "times": transfer,
-                "version": __version__,
-            })
-            extra["first_transfer"] = str(transfer_path)
-        _write_json(csv_path.with_suffix(".json"), _sidecar("dynamics", cfg, extra))
-        click.echo(f"wrote {csv_path}")
-
-    _guarded(run)
+    cfg = _resolve(config_path, flag_values)
+    params = _params(cfg)
+    if cfg["model"] == "anharmonic-rpm":
+        raise ValueError(
+            "dynamics needs a line-resolved model "
+            "(jc, harmonic or anharmonic-oracle)"
+        )
+    out_path = _out_dir(out)
+    t_default, dt_default = default_time_grid(params)
+    t_max = t_default if cfg["tmax"] is None else float(cfg["tmax"])
+    dt = dt_default if cfg["dt"] is None else float(cfg["dt"])
+    if t_max < 0:
+        raise ValueError(f"tmax must be >= 0, got {t_max}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if first_transfer and t_max == 0:
+        raise ValueError("first-transfer needs a non-empty time window")
+    models = [cfg["model"]]
+    if compare and cfg["model"] != "harmonic":
+        models.append("harmonic")
+    csv_path = out_path / f"dynamics_{cfg['model']}.csv"
+    prefixes = {m: "" if m == cfg["model"] else "harmonic_" for m in models}
+    transfer: dict[str, float | None] = {}
+    diagnostics: dict[str, dict] = {}
+    if t_max == 0:
+        names = ["t"] + [prefixes[m] + c for m in models for c in AMPLITUDE_SUFFIXES]
+        _write_csv(csv_path, [(name, ()) for name in names])
+    else:
+        columns: list[tuple[str, np.ndarray]] = []
+        for model in models:
+            halves = _line_spectra(model, params)
+            diagnostics[model] = _diagnostics(edge_lines(*halves))
+            ret, tra = evolve(*halves, t_max, dt)
+            if not columns:
+                columns.append(("t", ret.times))
+            columns += _amplitude_columns(prefixes[model], ret, tra)
+            transfer[model] = first_transfer_time(tra, cfg["transfer_threshold"])
+        _write_csv(csv_path, columns)
+    extra = {"t_max": t_max, "dt": dt, "diagnostics": diagnostics}
+    if first_transfer:
+        transfer_path = out_path / "first_transfer.json"
+        _write_json(transfer_path, {
+            "threshold": cfg["transfer_threshold"],
+            "times": transfer,
+            "version": __version__,
+        })
+        extra["first_transfer"] = str(transfer_path)
+    _write_json(csv_path.with_suffix(".json"), _sidecar("dynamics", cfg, extra))
+    click.echo(f"wrote {csv_path}")
 
 
 def _noon_single(cfg: dict, params: ModelParams):
@@ -436,51 +439,45 @@ def _write_noon(out_path: Path, cfg: dict, suffix: str, hist, summary, diagnosti
 
 @main.command()
 @_common_options
+@_exit_codes
 def noon(config_path, out, **flag_values):
     """Histogram joint edge-state amplitudes and score N00N reachability."""
-
-    def run():
-        cfg = _resolve(config_path, flag_values)
-        out_path = _out_dir(out)
-        sweep = cfg["sweep_n"]
-        if sweep is None:
-            params = _params(cfg)
-            csv_path = _write_noon(out_path, cfg, "", *_noon_single(cfg, params))
-            click.echo(f"wrote {csv_path}")
-            return
-        if not sweep:
-            raise ValueError("sweep_n must be a non-empty list of photon numbers")
-        cfgs = [{**cfg, "N": int(n), "sweep_n": None} for n in sweep]
-        results = [_noon_single(c, _params(c)) for c in cfgs]
-        for sub_cfg, result in zip(cfgs, results):
-            csv_path = _write_noon(out_path, sub_cfg, f"_N{sub_cfg['N']}", *result)
-            click.echo(f"wrote {csv_path}")
-
-    _guarded(run)
+    cfg = _resolve(config_path, flag_values)
+    out_path = _out_dir(out)
+    sweep = cfg["sweep_n"]
+    if sweep is None:
+        params = _params(cfg)
+        csv_path = _write_noon(out_path, cfg, "", *_noon_single(cfg, params))
+        click.echo(f"wrote {csv_path}")
+        return
+    if not sweep:
+        raise ValueError("sweep_n must be a non-empty list of photon numbers")
+    cfgs = [{**cfg, "N": int(n), "sweep_n": None} for n in sweep]
+    results = [_noon_single(c, _params(c)) for c in cfgs]
+    for sub_cfg, result in zip(cfgs, results):
+        csv_path = _write_noon(out_path, sub_cfg, f"_N{sub_cfg['N']}", *result)
+        click.echo(f"wrote {csv_path}")
 
 
 @main.command()
 @_common_options
+@_exit_codes
 def validate(config_path, out, **flag_values):
     """Run the named cross-check suite and write a pass/fail report."""
-
-    def run():
-        cfg = _resolve(config_path, flag_values)
-        out_path = _out_dir(out)
-        names = cfg["checks"]
-        if names is not None and not names:
-            raise ValueError("checks must be a non-empty list of check names")
-        report = run_checks(names)
-        report_path = out_path / "validation_report.json"
-        _write_json(report_path, _sidecar("validate", cfg, report.as_dict()))
-        for result in report.results:
-            status = "pass" if result.passed else "FAIL"
-            click.echo(f"{status}  {result.name}: {result.detail}")
-        click.echo(f"wrote {report_path}")
-        if not report.passed:
-            sys.exit(4)
-
-    _guarded(run)
+    cfg = _resolve(config_path, flag_values)
+    out_path = _out_dir(out)
+    names = cfg["checks"]
+    if names is not None and not names:
+        raise ValueError("checks must be a non-empty list of check names")
+    report = run_checks(names)
+    report_path = out_path / "validation_report.json"
+    _write_json(report_path, _sidecar("validate", cfg, report.as_dict()))
+    for result in report.results:
+        status = "pass" if result.passed else "FAIL"
+        click.echo(f"{status}  {result.name}: {result.detail}")
+    click.echo(f"wrote {report_path}")
+    if not report.passed:
+        sys.exit(4)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "UnsupportedModelError",
     "NumericalFailureError",
     "NearPoleError",
     "ModelParams",
@@ -47,10 +46,6 @@ DIAGONAL_SUM_TOL = 1e-10
 AMPLITUDE_BOUND_TOL = 1e-9
 # entries of the Lorentzian matrix that smoothed_density evaluates at once
 _DENSITY_BLOCK = 2**16
-
-
-class UnsupportedModelError(ValueError):
-    """A configuration falls outside the closed-form scope of a model."""
 
 
 class NumericalFailureError(RuntimeError):
@@ -73,7 +68,8 @@ class NearPoleError(NumericalFailureError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical configuration of the cavity models, hbar = 1.
+    """Physical configuration of the cavity models, hbar = 1, with every atom
+    resonant with its cavity.
 
     Parameters
     ----------
@@ -87,8 +83,6 @@ class ModelParams:
         Inter-cavity tunneling rate J, J >= 0.
     sigma : int
         Dressed-branch sign, +1 or -1.
-    delta : float
-        Atom-cavity detuning, used by the single-cavity model only.
     """
 
     n_photons: int
@@ -96,10 +90,9 @@ class ModelParams:
     g: float = 0.0
     j_tun: float = 0.0
     sigma: int = 1
-    delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("n_photons", "omega0", "g", "j_tun", "delta"):
+        for name in ("n_photons", "omega0", "g", "j_tun"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
@@ -140,12 +133,12 @@ class LineSpectrum:
             raise ValueError("energies and weights must be 1-d arrays of equal length")
         if energies.size == 0:
             raise ValueError("a spectrum needs at least one line")
-        if np.any(np.diff(energies) <= 0):
+        if not np.all(np.diff(energies) > 0):
             raise ValueError("energies must be strictly ascending; merge degenerate lines first")
-        if np.any(weights < -1e-14):
+        if not np.all(weights >= -1e-14):
             raise ValueError("weights must be non-negative")
         total = float(np.sum(weights))
-        if abs(total - 1.0) > DIAGONAL_SUM_TOL:
+        if not abs(total - 1.0) <= DIAGONAL_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "weights", weights)
@@ -169,9 +162,9 @@ class AmplitudeSeries:
         if times.size > 1:
             steps = np.diff(times)
             tol = 1e-9 * max(1.0, abs(float(times[-1])))
-            if np.max(np.abs(steps - steps[0])) > tol:
+            if not np.max(np.abs(steps - steps[0])) <= tol:
                 raise ValueError("time grid must be uniform")
-        if np.max(np.abs(values)) > 1.0 + AMPLITUDE_BOUND_TOL:
+        if not np.max(np.abs(values)) <= 1.0 + AMPLITUDE_BOUND_TOL:
             raise ValueError("amplitudes of normalized states cannot exceed modulus 1")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)

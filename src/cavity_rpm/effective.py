@@ -126,7 +126,7 @@ def diagonalize(h: SectorHamiltonian) -> EigenDecomposition:
 
     try:
         energies, vectors = scipy.linalg.eigh_tridiagonal(h.diag, h.offdiag)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
     return EigenDecomposition(energies=energies, vectors=vectors)
 
@@ -153,7 +153,7 @@ def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 
     try:
         return scipy.linalg.eigvalsh_tridiagonal(d, e)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 

@@ -38,9 +38,9 @@ class JointHistogram:
         b = np.asarray(self.bins, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 2:
             raise ValueError("bins must be a square matrix of size >= 2")
-        if np.any(b < 0):
+        if not np.all(b >= 0):
             raise ValueError("histogram mass cannot be negative")
-        if abs(float(b.sum()) - 1.0) > HISTOGRAM_SUM_TOL:
+        if not abs(float(b.sum()) - 1.0) <= HISTOGRAM_SUM_TOL:
             raise ValueError("histogram must be normalized to total mass 1")
         object.__setattr__(self, "bins", _readonly(b))
 
@@ -86,7 +86,7 @@ def noon_score(return_amp, transition_amp):
     """
     c0 = np.abs(return_amp)
     cn = np.abs(transition_amp)
-    if np.max(c0) > 1.0 + AMPLITUDE_BOUND_TOL or np.max(cn) > 1.0 + AMPLITUDE_BOUND_TOL:
+    if not (np.max(c0) <= 1.0 + AMPLITUDE_BOUND_TOL and np.max(cn) <= 1.0 + AMPLITUDE_BOUND_TOL):
         raise ValueError("amplitude moduli of normalized states cannot exceed 1")
     return (c0 + cn) ** 2 / 2.0
 

@@ -1,8 +1,8 @@
-"""Single cavity coupled to a two-level atom.
+"""Single cavity coupled to a resonant two-level atom.
 
-Closed-form dressed energies, resonant Rabi dynamics of a
-Fock state, and the dressed-basis photon matrix elements that control
-tunneling between two such cavities.
+Closed-form dressed energies, Rabi dynamics of a Fock state, and the
+dressed-basis photon matrix elements that control tunneling between two
+such cavities.
 """
 
 from __future__ import annotations
@@ -11,12 +11,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    AmplitudeSeries,
-    LineSpectrum,
-    ModelParams,
-    UnsupportedModelError,
-)
+from .core import AmplitudeSeries, LineSpectrum, ModelParams
 
 __all__ = [
     "jc_energy",
@@ -34,34 +29,25 @@ def _check_branch(branch: int):
 def jc_energy(params: ModelParams, n: int, branch: int) -> float:
     """Energy of the dressed level (n, branch).
 
-    Returns ``omega0 (n + 1/2) + branch sqrt(delta^2 + 4 g^2 (n+1))``.
+    Returns ``omega0 (n + 1/2) + branch sqrt(4 g^2 (n+1))``.
     """
     if n < 0:
         raise ValueError(f"photon index must be >= 0, got {n}")
     _check_branch(branch)
-    gap = math.sqrt(params.delta**2 + 4.0 * params.g**2 * (n + 1))
-    return params.omega0 * (n + 0.5) + branch * gap
+    return params.omega0 * (n + 0.5) + branch * math.sqrt(4.0 * params.g**2 * (n + 1))
 
 
 def rabi_amplitudes(params: ModelParams, times) -> tuple[AmplitudeSeries, AmplitudeSeries]:
     """Return and transition amplitudes of the initial state |n photons, ground atom>,
     with ``n = params.n_photons``.
 
-    Only the resonant case is supported.  The two-dimensional invariant
-    subspace {|n, ground>, |n-1, excited>} gives
+    The two-dimensional invariant subspace {|n, ground>, |n-1, excited>} gives
 
         return(t)     = exp(-i omega0 (n - 1/2) t) cos(2 g sqrt(n) t)
         transition(t) = -i exp(-i omega0 (n - 1/2) t) sin(2 g sqrt(n) t)
 
     with the transition taken onto |n-1 photons, excited atom>.
-
-    Raises
-    ------
-    UnsupportedModelError
-        If ``params.delta != 0``; the closed form holds at resonance only.
     """
-    if params.delta != 0.0:
-        raise UnsupportedModelError("Rabi closed forms require zero detuning")
     n = params.n_photons
     t = np.asarray(times, dtype=float)
     phase = np.exp(-1j * params.omega0 * (n - 0.5) * t)
@@ -72,7 +58,7 @@ def rabi_amplitudes(params: ModelParams, times) -> tuple[AmplitudeSeries, Amplit
 
 
 def rabi_line_spectra(params: ModelParams) -> tuple[LineSpectrum, LineSpectrum]:
-    """Line spectra of the resonant Rabi problem for the initial state |n, ground>,
+    """Line spectra of the Rabi problem for the initial state |n, ground>,
     with ``n = params.n_photons``, as two halves of one line each.
 
     The dressed levels ``omega0 (n - 1/2) -+ 2 g sqrt(n)`` are the even and
@@ -81,8 +67,6 @@ def rabi_line_spectra(params: ModelParams) -> tuple[LineSpectrum, LineSpectrum]:
     state splits equally over them, with cross weight ``+-1/2`` onto
     |n-1, excited>.  The upper level is the symmetric one for g >= 0.
     """
-    if params.delta != 0.0:
-        raise UnsupportedModelError("Rabi line spectra require zero detuning")
     n = params.n_photons
     sym, anti = jc_energy(params, n - 1, +1), jc_energy(params, n - 1, -1)
     if params.g < 0:

@@ -54,6 +54,17 @@ class CheckResult:
     data: dict = field(default_factory=dict)
 
 
+def _max(*figures: float) -> float:
+    """The largest of ``figures``, or NaN if one is NaN: the builtin ``max``
+    drops a NaN met after the first argument, and a NaN route would pass."""
+    return math.nan if any(map(math.isnan, figures)) else max(figures)
+
+
+def _min(*figures: float) -> float:
+    """The smallest of ``figures``, or NaN if one is NaN (see :func:`_max`)."""
+    return math.nan if any(map(math.isnan, figures)) else min(figures)
+
+
 def _json_figures(value):
     """``value`` with each non-finite float, which a failed check may report
     and JSON cannot hold, as its text."""
@@ -95,7 +106,7 @@ def check_completeness() -> CheckResult:
             edge_lines(*harmonic.harmonic_line_spectra(params)),
             edge_lines(*jc.rabi_line_spectra(params)),
         ):
-            worst = max(worst, abs(float(np.sum(w00)) - 1.0))
+            worst = _max(worst, abs(float(np.sum(w00)) - 1.0))
     passed = worst <= 1e-10
     return CheckResult(
         "completeness", passed,
@@ -114,9 +125,9 @@ def check_herglotz() -> CheckResult:
         re = rng.uniform(spec00.energies[0] - 1, spec00.energies[-1] + 1, 8)
         im = -rng.uniform(0.01, 0.5 * span, 8)
         a, _ = rpm.rpm_resolvent(params, re + 1j * im)
-        worst = min(worst, float(np.min(a.imag)))
+        worst = _min(worst, float(np.min(a.imag)))
         for z in re + 1j * im:
-            worst = min(worst, resolvent_from_lines(spec00, z).imag)
+            worst = _min(worst, resolvent_from_lines(spec00, z).imag)
     passed = worst >= -1e-13
     return CheckResult(
         "herglotz", passed,
@@ -155,10 +166,10 @@ def check_oracle_equivalence() -> CheckResult:
                 a_ref, b_ref = _dense_pair_elements(h, complex(z), k)
                 rel_a = abs(a - a_ref) / max(abs(a_ref), 1e-280)
                 rel_b = abs(b - b_ref) / max(abs(b_ref), 1e-280)
-                err = max(rel_a, rel_b)
-                worst = max(worst, err)
+                err = _max(rel_a, rel_b)
+                worst = _max(worst, err)
                 n_compared += 1
-                if err > tol and first_fail is None:
+                if not err <= tol and first_fail is None:
                     first_fail = {
                         "depth": k,
                         "n_photons": params.n_photons,
@@ -196,7 +207,7 @@ def check_sign_symmetry() -> CheckResult:
         flipped = replace(params, g=-params.g)
         a2, b2 = rpm.rpm_resolvent(flipped, 2.0 * (params.omega0 * params.n_photons) - zs)
         b1 *= (-1) ** params.n_photons
-        worst = max(worst, float(np.max(np.abs(a2 + a1))), float(np.max(np.abs(b2 + b1))))
+        worst = _max(worst, float(np.max(np.abs(a2 + a1))), float(np.max(np.abs(b2 + b1))))
     passed = worst <= 1e-12
     return CheckResult(
         "sign_symmetry", passed,
@@ -216,8 +227,8 @@ def check_mirror_image() -> CheckResult:
         grid = np.arange(-40 * 32, 40 * 32 + 1) / 32.0 + w0 * n
         rho_p, rhon_p = rpm.rpm_spectra(base, grid, eps)
         rho_m, rhon_m = rpm.rpm_spectra(flip, 2.0 * (w0 * n) - grid, eps)
-        worst = max(worst, float(np.max(np.abs(rho_p - rho_m))))
-        worst = max(worst, float(np.max(np.abs(rhon_p - rhon_m))))
+        worst = _max(worst, float(np.max(np.abs(rho_p - rho_m))))
+        worst = _max(worst, float(np.max(np.abs(rhon_p - rhon_m))))
     passed = worst <= 1e-10
     return CheckResult(
         "mirror_image", passed,
@@ -234,16 +245,16 @@ def check_harmonic_closed_forms() -> CheckResult:
         halves = harmonic.harmonic_line_spectra(params)
         lines = edge_lines(*halves)
         for closed, oracle in zip(lines, _edge_spectra(params)):
-            worst = max(worst, float(np.max(np.abs(closed - oracle))))
+            worst = _max(worst, float(np.max(np.abs(closed - oracle))))
         ret, tra = evolve(*halves, 25.0, 0.025)
         ret_c, tra_c = harmonic.harmonic_amplitudes(params, ret.times)
-        worst = max(worst, float(np.max(np.abs(ret_c.values - ret.values))))
-        worst = max(worst, float(np.max(np.abs(tra_c.values - tra.values))))
+        worst = _max(worst, float(np.max(np.abs(ret_c.values - ret.values))))
+        worst = _max(worst, float(np.max(np.abs(tra_c.values - tra.values))))
         grid = np.linspace(lines[0][0] - 1, lines[0][-1] + 1, 501)
         rho_r, rhon_r = rpm.rpm_spectra(params, grid, 0.05)
         rho_l, rhon_l = smoothed_density(*halves, grid, 0.05)
-        worst = max(worst, float(np.max(np.abs(rho_r - rho_l))))
-        worst = max(worst, float(np.max(np.abs(rhon_r - rhon_l))))
+        worst = _max(worst, float(np.max(np.abs(rho_r - rho_l))))
+        worst = _max(worst, float(np.max(np.abs(rhon_r - rhon_l))))
     passed = worst <= 1e-10
     return CheckResult(
         "harmonic_closed_forms", passed,
@@ -261,7 +272,7 @@ def check_rabi_conservation() -> CheckResult:
             params = ModelParams(n_photons=n, omega0=1.0, g=g)
             ret, tra = jc.rabi_amplitudes(params, times)
             total = np.abs(ret.values) ** 2 + np.abs(tra.values) ** 2
-            worst = max(worst, float(np.max(np.abs(total - 1.0))))
+            worst = _max(worst, float(np.max(np.abs(total - 1.0))))
     passed = worst <= 1e-12
     return CheckResult(
         "rabi_conservation", passed,
@@ -301,11 +312,11 @@ def check_dressed_matrix_elements() -> CheckResult:
             for b_in in (1, -1):
                 val_a = jc.dressed_photon_matrix_element("annihilate", k, b_out, b_in)
                 ref_a = _brute_dressed_element("annihilate", k, b_out, b_in, k - 1)
-                worst = max(worst, abs(val_a - ref_a))
+                worst = _max(worst, abs(val_a - ref_a))
                 val_c = jc.dressed_photon_matrix_element("create", k, b_out, b_in)
                 ref_c = _brute_dressed_element("create", k, b_out, b_in, k + 1)
-                worst = max(worst, abs(val_c - ref_c))
-                printed_bra_max = max(
+                worst = _max(worst, abs(val_c - ref_c))
+                printed_bra_max = _max(
                     printed_bra_max,
                     abs(_brute_dressed_element("create", k, b_out, b_in, k - 1)),
                 )
@@ -336,7 +347,7 @@ def check_parity() -> CheckResult:
         if chains[0].size != oracle[0].size:
             worst_chain = math.inf
         else:
-            worst_chain = max(worst_chain, *(
+            worst_chain = _max(worst_chain, *(
                 float(np.max(np.abs(c - o))) for c, o in zip(chains, oracle)))
         if params.j_tun == 0:
             # degenerate mirror pairs: the vectors need not have a parity
@@ -344,10 +355,10 @@ def check_parity() -> CheckResult:
         v = decomp.vectors
         sym = np.max(np.abs(v - v[::-1, :]), axis=0)
         asym = np.max(np.abs(v + v[::-1, :]), axis=0)
-        worst_vec = max(worst_vec, float(np.max(np.minimum(sym, asym))))
+        worst_vec = _max(worst_vec, float(np.max(np.minimum(sym, asym))))
         _, w00, wn0 = oracle
         diff = np.minimum(np.abs(wn0 - w00), np.abs(wn0 + w00))
-        worst_line = max(worst_line, float(np.max(diff)))
+        worst_line = _max(worst_line, float(np.max(diff)))
     passed = worst_vec <= 1e-10 and worst_line <= 1e-10 and worst_chain <= 1e-10
     return CheckResult(
         "parity", passed,
@@ -378,7 +389,7 @@ def check_degeneracy_j0() -> CheckResult:
         halved = params.omega0 * n + params.sigma * params.g * (
             np.sqrt(n - k) + np.sqrt(k)
         )
-        worst = max(worst, float(np.max(np.abs(np.sort(ladder) - decomp.energies))))
+        worst = _max(worst, float(np.max(np.abs(np.sort(ladder) - decomp.energies))))
         if not np.allclose(np.sort(halved), decomp.energies, rtol=0, atol=1e-9):
             alternative_matches = False
         # unbalanced levels (k, N-k) come in exactly degenerate pairs

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import cavity_rpm
-from cavity_rpm import cli, validation
+from cavity_rpm import cli, rpm, validation
 from cavity_rpm.cli import DEFAULTS, main
 from cavity_rpm.validation import CheckResult
 
@@ -212,6 +212,20 @@ def test_flags_override_config_file(tmp_path):
     assert sidecar["config"]["N"] == 2
 
 
+def test_delta_zero_runs_and_echoes_and_other_values_are_named(tmp_path):
+    config = tmp_path / "resonant.json"
+    config.write_text('{"delta": 0.0}')
+    result = invoke("spectrum", "--model", "jc", "--N", 3, "--config", config,
+                    "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    assert '"delta": 0.0' in (tmp_path / "spectrum_jc.json").read_text()
+    config.write_text('{"delta": -0.25}')
+    result = invoke("spectrum", "--model", "jc", "--N", 3, "--config", config,
+                    "--out", tmp_path)
+    assert result.exit_code == 2
+    assert "delta must be 0 (every model is resonant), got -0.25" in result.output
+
+
 def test_every_common_flag_reaches_its_config_key(tmp_path):
     flags = {"N": 4, "g": 0.3, "J": 0.5, "omega0": 2.0, "sigma": -1,
              "epsilon": 0.05, "tmax": 7.0, "dt": 0.02, "bins": 12}
@@ -273,6 +287,13 @@ def test_every_common_flag_reaches_its_config_key(tmp_path):
     # tmax / dt overflows
     (("dynamics", "--model", "harmonic", "--N", 4, "--tmax", 1e300, "--dt", 1e-10), None, 2),
     (("noon", "--model", "harmonic", "--N", 4, "--tmax", 1e300, "--dt", 1e-10), None, 2),
+    # every model is resonant: a detuning is refused, not ignored
+    (("spectrum", "--model", "jc", "--N", 4), '{"delta": 0.5}', 2),
+    (("spectrum", "--model", "harmonic", "--N", 4), '{"delta": 0.5}', 2),
+    (("spectrum", "--model", "anharmonic-oracle", "--N", 4), '{"delta": 0.5}', 2),
+    (("spectrum", "--model", "anharmonic-rpm", "--N", 4, "--epsilon", 0.05),
+     '{"delta": 0.5}', 2),
+    (("validate",), '{"delta": 0.5}', 2),
 ], ids=[
     "harmonic-J-nan", "rpm-J-inf", "rpm-epsilon-inf", "rpm-epsilon-1e308",
     "grid-1e999", "dynamics-tmax-inf", "noon-tmax-inf",
@@ -284,7 +305,8 @@ def test_every_common_flag_reaches_its_config_key(tmp_path):
     "dynamics-epsilon-nan", "noon-threshold-1e999", "empty-window-dt-inf",
     "g-integer-beyond-double", "tmax-integer-beyond-double",
     "empty-window-dt-negative", "empty-window-dt-zero", "dynamics-steps-overflow",
-    "noon-steps-overflow",
+    "noon-steps-overflow", "delta-jc", "delta-harmonic", "delta-anharmonic-oracle",
+    "delta-anharmonic-rpm", "delta-validate",
 ])
 def test_bad_numeric_input_exits_without_csv(tmp_path, args, config, code):
     extra = ()
@@ -397,6 +419,19 @@ def test_validate_failure_exits_4(tmp_path, monkeypatch):
     assert result.exit_code == 4
     report = json.loads((tmp_path / "validation_report.json").read_text())
     assert report["passed"] is False
+
+
+def test_validate_exits_4_on_a_nan_route(tmp_path, monkeypatch):
+    def nan_spectra(params, grid, epsilon):
+        return np.full(grid.shape, np.nan), np.full(grid.shape, np.nan)
+
+    monkeypatch.setattr(rpm, "rpm_spectra", nan_spectra)
+    config = tmp_path / "mirror.json"
+    config.write_text(json.dumps({"checks": ["mirror_image"]}))
+    result = invoke("validate", "--config", config, "--out", tmp_path)
+    assert result.exit_code == 4
+    report = json.loads((tmp_path / "validation_report.json").read_text())
+    assert report["checks"][0]["data"] == {"max_deviation": "nan"}
 
 
 def test_validate_failure_with_non_finite_figures_writes_strict_json(tmp_path, monkeypatch):

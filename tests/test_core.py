@@ -35,7 +35,7 @@ def test_model_params_validation():
         ModelParams(n_photons=4, sigma=2)
     with pytest.raises(ValueError):
         ModelParams(n_photons=4, j_tun=-0.1)
-    for field in ("n_photons", "omega0", "g", "j_tun", "delta"):
+    for field in ("n_photons", "omega0", "g", "j_tun"):
         for bad in (math.nan, math.inf, -math.inf, "x", None):
             with pytest.raises(ValueError, match=field):
                 ModelParams(**{"n_photons": 4, field: bad})
@@ -196,6 +196,18 @@ def test_line_spectrum_invariants():
     spec = LineSpectrum(energies=[0.0, 1.0], weights=[0.25, 0.75])
     assert len(spec) == 2
     assert spec.weights.dtype == float
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LineSpectrum(energies=[0.0, math.nan], weights=[0.5, 0.5]), "ascending"),
+    (lambda: LineSpectrum(energies=[0.0, 1.0], weights=[math.nan, 0.5]), "non-negative"),
+    (lambda: AmplitudeSeries(times=[0.0, 1.0, 2.0], values=[math.nan, 0.0, 0.0]), "modulus"),
+    (lambda: AmplitudeSeries(times=[0.0, math.nan, 2.0], values=[0.0, 0.0, 0.0]), "uniform"),
+], ids=["line-energy", "line-weight", "amplitude-value", "amplitude-time"])
+def test_invariant_types_reject_nan(make, message):
+    """Every invariant holds positively, so a NaN fails it instead of passing."""
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_line_spectrum_arrays_are_readonly():

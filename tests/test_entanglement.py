@@ -59,6 +59,18 @@ def test_joint_histogram_invariants():
         JointHistogram(bins=bad, n_samples=16)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: JointHistogram(bins=np.array([[math.nan, 0.25], [0.25, 0.5]]),
+                            n_samples=4), "negative"),
+    (lambda: noon_score(math.nan, 0.0), "exceed 1"),
+    (lambda: noon_score([0.5, 0.5], [0.1, complex(math.nan, 0.0)]), "exceed 1"),
+], ids=["histogram-bin", "score-return", "score-transition"])
+def test_invariants_reject_nan(make, message):
+    """Every invariant holds positively, so a NaN fails it instead of passing."""
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_bin_centers():
     hist = sample_joint(constant_series(0.5), constant_series(0.5), bins=4)
     np.testing.assert_allclose(hist.bin_centers(), [0.125, 0.375, 0.625, 0.875])

@@ -1,8 +1,12 @@
 """The cross-check registry: green on the real code, loud on sabotage."""
 
+import math
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from cavity_rpm import rpm, validation
+from cavity_rpm import harmonic, rpm, validation
 from cavity_rpm.validation import CheckResult, run_checks
 
 
@@ -51,6 +55,45 @@ def test_sabotaged_interaction_breaks_sign_symmetry(monkeypatch):
     monkeypatch.setattr(rpm, "_pair_interaction", skewed)
     result = validation.check_sign_symmetry()
     assert not result.passed
+
+
+def test_nan_closed_form_fails_its_check(monkeypatch):
+    """A NaN figure fails its check: the builtin max would keep the running
+    worst value and pass it.  AmplitudeSeries rejects NaN, so the sabotaged
+    route hands over a bare stand-in."""
+    original = harmonic.harmonic_amplitudes
+
+    def nan_return(params, times):
+        ret, tra = original(params, times)
+        return SimpleNamespace(values=np.full(ret.values.shape, math.nan)), tra
+
+    monkeypatch.setattr(harmonic, "harmonic_amplitudes", nan_return)
+    result = validation.check_harmonic_closed_forms()
+    assert result.passed is False
+    assert math.isnan(result.data["max_deviation"])
+
+
+def test_nan_recursion_fails_the_mirror_check(monkeypatch):
+    def nan_spectra(params, grid, epsilon):
+        return np.full(grid.shape, math.nan), np.full(grid.shape, math.nan)
+
+    monkeypatch.setattr(rpm, "rpm_spectra", nan_spectra)
+    result = validation.check_mirror_image()
+    assert result.passed is False
+    assert math.isnan(result.data["max_deviation"])
+
+
+def test_nan_depth_sample_is_the_first_failure(monkeypatch):
+    original = rpm.rpm_walk
+
+    def nan_walk(params, z):
+        for k, a, b in original(params, z):
+            yield k, a, complex(math.nan, 0.0) if k == 2 else b
+
+    monkeypatch.setattr(rpm, "rpm_walk", nan_walk)
+    result = validation.check_oracle_equivalence()
+    assert result.passed is False
+    assert result.data["first_failure"]["depth"] == 2
 
 
 def test_dressed_element_check_reports_bra_convention():
