@@ -15,9 +15,12 @@ Cavity exchange splits the N-photon sector into a symmetric and an
 antisymmetric half, and the models return the edge state's line spectrum
 in each half, ``(sym, anti)``.  The return and transition amplitudes are
 ``c0, cN = (S +- A)/2`` with ``S`` and ``A`` the amplitudes of the halves.
-:func:`edge_lines` merges the halves into one table of
+:func:`edge_lines` sorts the halves into one table of
 ``(energy, weight00, weightN0)``, with ``weight00 = w/2`` and
 ``weightN0 = +-w/2`` (+ in the symmetric half), for output and densities.
+Only lines at equal energies share a row: no tolerance fuses the lines of
+the two halves, so an edge doublet split far below any tolerance stays two
+rows.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,13 +37,10 @@ __all__ = [
     "ModelParams",
     "LineSpectrum",
     "AmplitudeSeries",
-    "merge_degenerate_lines",
     "edge_lines",
     "smoothed_density",
-    "resolvent_from_lines",
 ]
 
-MERGE_RTOL = 1e-9
 DIAGONAL_SUM_TOL = 1e-10
 AMPLITUDE_BOUND_TOL = 1e-9
 # entries of the Lorentzian matrix that smoothed_density evaluates at once
@@ -134,7 +133,7 @@ class LineSpectrum:
         if energies.size == 0:
             raise ValueError("a spectrum needs at least one line")
         if not np.all(np.diff(energies) > 0):
-            raise ValueError("energies must be strictly ascending; merge degenerate lines first")
+            raise ValueError("energies must be strictly ascending")
         if not np.all(weights >= -1e-14):
             raise ValueError("weights must be non-negative")
         total = float(np.sum(weights))
@@ -173,70 +172,20 @@ class AmplitudeSeries:
         return int(self.times.size)
 
 
-def merge_degenerate_lines(
-    energies: Sequence[float],
-    weight_sets: Sequence[Sequence[complex]],
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Cluster near-degenerate energies and sum weights within each cluster.
-
-    Energies whose consecutive gaps fall below ``MERGE_RTOL * max(1, |E|)``
-    are treated as one level.  Every weight set is clustered with the same
-    partition, so spectra sharing an eigenbasis keep matching line counts.
-    The merged energy is the arithmetic mean of the cluster members.
-
-    Parameters
-    ----------
-    energies : sequence of float
-        Level positions, in any order.
-    weight_sets : sequence of weight sequences
-        One or more weight arrays aligned with ``energies``.
-
-    Returns
-    -------
-    merged_energies : ndarray
-        Strictly ascending cluster energies.
-    merged_weight_sets : list of ndarray
-        Cluster-summed weights, one array per input set.
-    """
-    e = np.asarray(energies, dtype=float)
-    if e.ndim != 1 or e.size == 0:
-        raise ValueError("energies must be a non-empty 1-d sequence")
-    sets = [np.asarray(w) for w in weight_sets]
-    for w in sets:
-        if w.shape != e.shape:
-            raise ValueError("every weight set must match the energy count")
-    order = np.argsort(e, kind="stable")
-    e = e[order]
-    sets = [w[order] for w in sets]
-
-    starts = np.flatnonzero(np.diff(e) > MERGE_RTOL * np.maximum(1.0, np.abs(e[1:]))) + 1
-    boundaries = np.concatenate([[0], starts, [e.size]])
-    # a level alone keeps its values, with -0.0 made 0.0 (+ 0) as a NumPy
-    # mean or sum of one term makes it; only clusters of several levels take
-    # a mean and sums
-    merged_e = e[boundaries[:-1]] + 0
-    merged_sets = [w[boundaries[:-1]] + 0 for w in sets]
-    for j in np.flatnonzero(np.diff(boundaries) > 1):
-        lo, hi = boundaries[j], boundaries[j + 1]
-        merged_e[j] = e[lo:hi].mean()
-        for w, out in zip(sets, merged_sets):
-            out[j] = w[lo:hi].sum()
-    return merged_e, merged_sets
-
-
 def edge_lines(sym: LineSpectrum, anti: LineSpectrum):
-    """The merged table ``(energies, weight00, weightN0)`` of the parity halves.
+    """The table ``(energies, weight00, weightN0)`` of the parity halves.
 
     A line of weight ``w`` carries ``weight00 = w/2`` and ``weightN0 = +-w/2``
-    (+ in the symmetric half); the lines of both halves are clustered with
-    :func:`merge_degenerate_lines`.
+    (+ in the symmetric half).  The lines of both halves are sorted into one
+    table, and only lines at equal energies form one row, with their weights
+    summed: lines of the two halves that lie close together, such as an edge
+    doublet, stay two rows.
     """
-    energies, (w00, wn0) = merge_degenerate_lines(
-        np.concatenate([sym.energies, anti.energies]),
-        [np.concatenate([sym.weights, anti.weights]) / 2,
-         np.concatenate([sym.weights, -anti.weights]) / 2],
-    )
-    return energies, w00, wn0
+    energies, row = np.unique(np.concatenate([sym.energies, anti.energies]), return_inverse=True)
+    w00 = np.bincount(row, np.concatenate([sym.weights, anti.weights]) / 2)
+    wn0 = np.bincount(row, np.concatenate([sym.weights, -anti.weights]) / 2)
+    # + 0 makes an energy of -0.0 read 0.0
+    return energies + 0, w00, wn0
 
 
 def smoothed_density(sym: LineSpectrum, anti: LineSpectrum, energies, epsilon: float):
@@ -268,8 +217,3 @@ def smoothed_density(sym: LineSpectrum, anti: LineSpectrum, energies, epsilon: f
         rho00[lo:hi] = lorentz @ w00 / np.pi
         rhon0[lo:hi] = np.real(lorentz @ wn0 / np.pi)
     return rho00, rhon0
-
-
-def resolvent_from_lines(spec: LineSpectrum, z: complex) -> complex:
-    """Evaluate the resolvent matrix element ``sum_j w_j / (z - E_j)``."""
-    return complex(np.sum(spec.weights / (complex(z) - spec.energies)))

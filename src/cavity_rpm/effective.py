@@ -11,7 +11,8 @@ Line spectra come from the two exchange-parity chains of that matrix
 O(N) memory.  The dense eigensolve with eigenvectors (:func:`diagonalize`,
 :func:`spectra_from_eigen`) is the oracle that the chains, and the
 projection recursion, are validated against.  It does not use parity: it
-gives the merged line table directly.
+gives the line table directly, with eigenvalues closer than ``MERGE_RTOL``
+taken as one line, the only tolerance clustering of lines in the package.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import (
     ModelParams,
     NumericalFailureError,
     _readonly,
-    merge_degenerate_lines,
 )
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
 
 # ratios of the interlacing product evaluated at once: a few 256 kB arrays
 _RATIO_BLOCK = 2**15
+# relative gap below which the dense oracle takes eigenvalues as one level
+MERGE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,8 @@ class EigenDecomposition:
         v = np.asarray(self.vectors, dtype=float)
         if v.shape != (e.size, e.size):
             raise ValueError("vectors must be square with one column per energy")
+        if not np.all(np.diff(e) >= 0):
+            raise ValueError("energies must be ascending")
         object.__setattr__(self, "energies", _readonly(e))
         object.__setattr__(self, "vectors", _readonly(v))
 
@@ -131,19 +135,40 @@ def diagonalize(h: SectorHamiltonian) -> EigenDecomposition:
     return EigenDecomposition(energies=energies, vectors=vectors)
 
 
+def _merge_close_levels(energies: np.ndarray, w00: np.ndarray, wn0: np.ndarray):
+    """Cluster ascending ``energies`` whose consecutive gaps fall below
+    ``MERGE_RTOL * max(1, |E|)`` into one level, at the mean of its members,
+    and sum both weight arrays over each cluster."""
+    starts = np.flatnonzero(
+        np.diff(energies) > MERGE_RTOL * np.maximum(1.0, np.abs(energies[1:]))) + 1
+    boundaries = np.concatenate([[0], starts, [energies.size]])
+    # a level alone keeps its values, with -0.0 made 0.0 (+ 0) as a NumPy
+    # mean or sum of one term makes it; only clusters of several levels take
+    # a mean and sums
+    merged = [a[boundaries[:-1]] + 0 for a in (energies, w00, wn0)]
+    for j in np.flatnonzero(np.diff(boundaries) > 1):
+        lo, hi = boundaries[j], boundaries[j + 1]
+        merged[0][j] = energies[lo:hi].mean()
+        merged[1][j] = w00[lo:hi].sum()
+        merged[2][j] = wn0[lo:hi].sum()
+    return tuple(merged)
+
+
 def spectra_from_eigen(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merged edge-state line table from an eigen-decomposition.
+    """Edge-state line table from an eigen-decomposition.
 
     The diagonal weights are the squared first components of the
-    eigenvectors, the cross weights the last component times the first.  Both
-    are merged with one degeneracy clustering, without reference to parity:
-    the table is the same ``(energies, weight00, weightN0)`` as
-    :func:`~cavity_rpm.core.edge_lines` builds from the parity halves.
+    eigenvectors, the cross weights the last component times the first.
+    Without reference to parity, and unlike :func:`~cavity_rpm.core.edge_lines`,
+    eigenvalues closer than ``MERGE_RTOL`` (1e-9 relative) form one line:
+    the dense eigenvectors of such levels mix, and only their cluster's
+    weights are defined.  Otherwise the table is the same
+    ``(energies, weight00, weightN0)`` as ``edge_lines`` builds from the
+    parity halves.
     """
     first = decomp.vectors[0, :]
     last = decomp.vectors[-1, :]
-    energies, (w00, wn0) = merge_degenerate_lines(decomp.energies, [first**2, last * first])
-    return energies, w00, wn0
+    return _merge_close_levels(decomp.energies, first**2, last * first)
 
 
 def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -96,8 +96,9 @@ def default_sampling_window(params: ModelParams, energies) -> tuple[float, float
 
     The window covers one thousand tunneling half-periods and the step
     oversamples the fastest spectral beat (the full span of the ascending
-    line ``energies``, as :func:`~cavity_rpm.core.edge_lines` gives them)
-    twentyfold.
+    line ``energies``, the first column of
+    :func:`~cavity_rpm.core.edge_lines`, which holds the lines of both
+    parity halves) twentyfold.
     """
     if params.j_tun > 0:
         t_max = 1000.0 * math.pi / params.j_tun

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AmplitudeSeries, LineSpectrum, ModelParams, merge_degenerate_lines
+from .core import AmplitudeSeries, LineSpectrum, ModelParams
 
 __all__ = ["harmonic_line_spectra", "harmonic_amplitudes"]
 
@@ -22,8 +22,10 @@ def harmonic_line_spectra(params: ModelParams) -> tuple[LineSpectrum, LineSpectr
     the symmetric half and the others the antisymmetric one, each line with
     weight ``2 C(N,k) / 2^N``.  Each ``C(N,k) / 2^N`` is the correctly rounded
     quotient of exact integers, so no intermediate overflows at large N;
-    weights below double range round to zero.  At J = 0 each half's levels
-    coincide and merge into one line.
+    weights below double range round to zero.  Levels of a half that
+    coincide in floating point form one line, with the sum of their weights:
+    at J = 0, or where J lies below the rounding of ``omega0 N``, each half
+    is the single line ``omega0 N``.
     """
     n = params.n_photons
     k = np.arange(n + 1)
@@ -37,8 +39,8 @@ def harmonic_line_spectra(params: ModelParams) -> tuple[LineSpectrum, LineSpectr
         binomial = binomial * (n - i) // (i + 1)
     halves = []
     for parity in (n % 2, 1 - n % 2):
-        merged_e, (w,) = merge_degenerate_lines(energies[parity::2], [weights[parity::2]])
-        halves.append(LineSpectrum(merged_e, w))
+        levels, row = np.unique(energies[parity::2], return_inverse=True)
+        halves.append(LineSpectrum(levels, np.bincount(row, weights[parity::2])))
     return tuple(halves)
 
 

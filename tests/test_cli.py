@@ -131,6 +131,41 @@ def test_odd_photon_numbers_run_on_every_route(tmp_path):
         "lines": 8, "zero_weight_lines": 0, "weight_sum_defect": 0.0}
 
 
+def test_edge_doublet_writes_two_lines_and_densities_that_match_the_recursion(tmp_path):
+    """At N=20, g=2, J=0.2, omega0=0 the edge state's lines in the two
+    parity halves lie about 1.5e-10 apart: the line table keeps both, with
+    cross weights of opposite sign, and the densities broadened from the
+    halves agree with the recursion's."""
+    args = ("--N", 20, "--g", 2, "--J", 0.2, "--omega0", 0, "--out", tmp_path)
+    result = invoke("spectrum", "--model", "anharmonic-oracle", *args)
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "spectrum_anharmonic-oracle.csv").read_text().splitlines()[1:]
+    assert len(rows) == 21
+    (e_sym, w_sym, c_sym), (e_anti, w_anti, c_anti) = (
+        [float(x) for x in row.split(",")] for row in rows[:2])
+    assert 1e-10 < e_anti - e_sym < 2e-10
+    assert w_sym == pytest.approx(0.466, abs=1e-3) and w_anti == pytest.approx(w_sym)
+    assert c_sym == w_sym and c_anti == -w_anti
+    sidecar = json.loads((tmp_path / "spectrum_anharmonic-oracle.json").read_text())
+    assert sidecar["diagnostics"]["anharmonic-oracle"]["lines"] == 21
+    result = invoke("spectrum", "--compare", "--epsilon", 0.01, *args)
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "spectrum_compare.json").read_text())["compare"]
+    assert report["linf_rho00"] <= 1e-10
+    assert report["linf_rhoN0"] <= 1e-10
+
+
+def test_nearly_degenerate_levels_keep_their_place_in_the_density(tmp_path):
+    """At J=0 and g=1e-9 the edge level lies 1.4e-9 below the next one,
+    closer than a relative 1e-9 of their energy 3, and the line density
+    keeps it where the recursion puts it."""
+    result = invoke("spectrum", "--compare", "--N", 3, "--g", 1e-9, "--J", 0,
+                    "--omega0", 1, "--epsilon", 1, "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "spectrum_compare.json").read_text())["compare"]
+    assert report["linf_rho00"] <= 1e-14
+
+
 def test_harmonic_spectrum_beyond_n_1023(tmp_path):
     result = invoke("spectrum", "--model", "harmonic", "--N", 2000, "--J", 0.8,
                     "--out", tmp_path)

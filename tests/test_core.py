@@ -1,4 +1,5 @@
-"""Unit tests for the shared spectral-line types, line merging and broadening."""
+"""Unit tests for the shared spectral-line types, the edge-line table, the
+dense oracle's level clustering and broadening."""
 
 import dataclasses
 import math
@@ -14,16 +15,14 @@ from hypothesis import strategies as st
 
 import cavity_rpm
 from cavity_rpm.core import (
-    MERGE_RTOL,
     AmplitudeSeries,
     LineSpectrum,
     ModelParams,
     edge_lines,
-    merge_degenerate_lines,
-    resolvent_from_lines,
     smoothed_density,
 )
 from cavity_rpm.dynamics import evolve
+from cavity_rpm.effective import MERGE_RTOL, _merge_close_levels
 
 
 def test_model_params_validation():
@@ -50,9 +49,8 @@ def test_model_params_frozen():
 
 
 def test_merge_clusters_near_degenerate_levels():
-    merged_e, (w,) = merge_degenerate_lines(
-        [1.0, 1.0 + 1e-12, 2.0], [[0.2, 0.3, 0.5]]
-    )
+    merged_e, w, _ = _merge_close_levels(
+        np.array([1.0, 1.0 + 1e-12, 2.0]), np.array([0.2, 0.3, 0.5]), np.zeros(3))
     assert merged_e.shape == (2,)
     assert merged_e[0] == pytest.approx(1.0, abs=1e-11)
     assert merged_e[1] == 2.0
@@ -60,59 +58,39 @@ def test_merge_clusters_near_degenerate_levels():
 
 
 def test_merge_keeps_resolved_levels_apart():
-    merged_e, (w,) = merge_degenerate_lines([0.0, 1e-6], [[0.4, 0.6]])
+    merged_e, w, _ = _merge_close_levels(np.array([0.0, 1e-6]), np.array([0.4, 0.6]),
+                                         np.zeros(2))
     assert merged_e.shape == (2,)
     np.testing.assert_allclose(w, [0.4, 0.6])
 
 
 def test_merge_shares_clustering_across_weight_sets():
     # signed weights may cancel inside a cluster while the diagonal set adds
-    merged_e, (w00, w10) = merge_degenerate_lines(
-        [3.0, 3.0, 5.0], [[0.25, 0.25, 0.5], [0.25, -0.25, 0.5]]
-    )
+    merged_e, w00, wn0 = _merge_close_levels(
+        np.array([3.0, 3.0, 5.0]), np.array([0.25, 0.25, 0.5]), np.array([0.25, -0.25, 0.5]))
     assert merged_e.shape == (2,)
     np.testing.assert_allclose(w00, [0.5, 0.5])
-    np.testing.assert_allclose(w10, [0.0, 0.5])
+    np.testing.assert_allclose(wn0, [0.0, 0.5])
 
 
-def test_merge_sorts_unordered_input():
-    merged_e, (w,) = merge_degenerate_lines([2.0, -1.0, 0.5], [[1.0, 2.0, 3.0]])
-    np.testing.assert_allclose(merged_e, [-1.0, 0.5, 2.0])
-    np.testing.assert_allclose(w, [2.0, 3.0, 1.0])
-
-
-def test_merge_rejects_mismatched_weights():
-    with pytest.raises(ValueError):
-        merge_degenerate_lines([1.0, 2.0], [[1.0]])
-    with pytest.raises(ValueError):
-        merge_degenerate_lines([], [[]])
-
-
-def _merge_level_by_level(energies, weight_sets, rtol=MERGE_RTOL):
-    """Reference: the clustering as one loop over the sorted levels."""
-    e = np.asarray(energies, dtype=float)
-    sets = [np.asarray(w) for w in weight_sets]
-    order = np.argsort(e, kind="stable")
-    e = e[order]
-    sets = [w[order] for w in sets]
+def _merge_level_by_level(energies, w00, wn0, rtol=MERGE_RTOL):
+    """Reference: the clustering as one loop over the ascending levels."""
     boundaries = [0]
-    for i in range(1, e.size):
-        if e[i] - e[i - 1] > rtol * max(1.0, abs(e[i])):
+    for i in range(1, energies.size):
+        if energies[i] - energies[i - 1] > rtol * max(1.0, abs(energies[i])):
             boundaries.append(i)
-    boundaries.append(e.size)
-    merged_e = np.empty(len(boundaries) - 1)
-    merged_sets = [np.empty(len(boundaries) - 1, dtype=w.dtype) for w in sets]
+    boundaries.append(energies.size)
+    merged = [np.empty(len(boundaries) - 1) for _ in range(3)]
     for j in range(len(boundaries) - 1):
         lo, hi = boundaries[j], boundaries[j + 1]
-        merged_e[j] = e[lo:hi].mean()
-        for w, out in zip(sets, merged_sets):
-            out[j] = w[lo:hi].sum()
-    return merged_e, merged_sets
+        merged[0][j] = energies[lo:hi].mean()
+        merged[1][j] = w00[lo:hi].sum()
+        merged[2][j] = wn0[lo:hi].sum()
+    return merged
 
 
 def _assert_same_bits(got, want):
-    assert got[0].tobytes() == want[0].tobytes()
-    for a, b in zip(got[1], want[1], strict=True):
+    for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -124,23 +102,24 @@ def _assert_same_bits(got, want):
 ), min_size=1, max_size=40))
 @example([(-0.0, 0.0, -0.0, -0.0), (1.0, 0.0, 0.5, 1.0)])
 def test_merge_is_bit_identical_to_the_level_loop(levels):
-    # base alone where the offset is 0, so that -0.0 stays a level
+    # base alone where the offset is 0, so that -0.0 stays a level; the
+    # dense oracle's eigenvalues come ascending, and so do these
     energies = np.array([base + offset if offset else base for base, offset, _, _ in levels])
-    real = np.array([w for _, _, w, _ in levels])
-    cross = real * (1 - 2j) + np.array([v for *_, v in levels]) * 1j
-    counts = np.array([int(v) for *_, v in levels])
-    sets = [real, cross, counts]
-    _assert_same_bits(merge_degenerate_lines(energies, sets), _merge_level_by_level(energies, sets))
+    order = np.argsort(energies, kind="stable")
+    w00 = np.array([w for _, _, w, _ in levels])
+    wn0 = w00 * -0.5 + np.array([v for *_, v in levels])
+    args = energies[order], w00[order], wn0[order]
+    _assert_same_bits(_merge_close_levels(*args), _merge_level_by_level(*args))
 
 
 def test_merge_of_one_cluster_is_bit_identical_to_the_level_loop():
     # J = 0, g = 0: every level of the sector forms one cluster
     rng = np.random.default_rng(3)
-    energies = np.full(51, 50.0) + rng.uniform(-1e-12, 1e-12, 51)
-    sets = [rng.uniform(0, 1, 51), rng.uniform(-1, 1, 51) + 0j]
-    got = merge_degenerate_lines(energies, sets)
+    energies = np.sort(np.full(51, 50.0) + rng.uniform(-1e-12, 1e-12, 51))
+    args = energies, rng.uniform(0, 1, 51), rng.uniform(-1, 1, 51)
+    got = _merge_close_levels(*args)
     assert got[0].size == 1
-    _assert_same_bits(got, _merge_level_by_level(energies, sets))
+    _assert_same_bits(got, _merge_level_by_level(*args))
 
 
 _BROADENING_PROBE = """
@@ -233,13 +212,18 @@ def test_line_spectrum_copies_what_a_caller_can_still_write():
 
 
 def test_edge_lines_halve_the_weights_and_merge_across_halves():
-    sym = LineSpectrum(energies=[-1.0, 2.0], weights=[0.25, 0.75])
+    sym = LineSpectrum(energies=[-1.0, 0.5, 2.0], weights=[0.25, 0.25, 0.5])
     anti = LineSpectrum(energies=[0.5, 2.0 + 1e-12], weights=[0.5, 0.5])
     energies, w00, wn0 = edge_lines(sym, anti)
-    np.testing.assert_allclose(energies, [-1.0, 0.5, 2.0], rtol=0, atol=1e-11)
-    assert w00.tolist() == [0.125, 0.25, 0.625]
-    # the lines at 2 and 2 + 1e-12 merge: +0.75/2 and -0.5/2
-    assert wn0.tolist() == [0.125, -0.25, 0.125]
+    # lines 1e-12 apart stay two rows; the lines at 0.5 in both halves form
+    # one, their weights summed: +0.25/2 and -0.5/2
+    assert energies.tolist() == [-1.0, 0.5, 2.0, 2.0 + 1e-12]
+    assert w00.tolist() == [0.125, 0.375, 0.25, 0.25]
+    assert wn0.tolist() == [0.125, -0.125, 0.25, -0.25]
+    # an energy of -0.0 in one half and 0.0 in the other is one row at 0.0
+    energies, w00, wn0 = edge_lines(LineSpectrum([-0.0], [1.0]), LineSpectrum([0.0], [1.0]))
+    assert (energies.tobytes(), w00.tolist(), wn0.tolist()) == (
+        np.zeros(1).tobytes(), [1.0], [0.0])
 
 
 def test_smoothed_density_single_lorentzian():
@@ -269,15 +253,6 @@ def test_amplitude_series_invariants():
         AmplitudeSeries(times=[0.0, 1.0], values=[1.0, 1.5])
     with pytest.raises(ValueError):
         AmplitudeSeries(times=[], values=[])
-
-
-def test_resolvent_from_lines_simple_pole():
-    spec = LineSpectrum(energies=[1.5], weights=[1.0])
-    sample = resolvent_from_lines(spec, 2.0 + 1.0j)
-    assert sample == pytest.approx(1.0 / (0.5 + 1.0j))
-    # Herglotz: below the real axis the diagonal element has Im >= 0
-    below = resolvent_from_lines(spec, 0.3 - 0.2j)
-    assert below.imag > 0
 
 
 def test_time_average_recovers_summed_square_weights():

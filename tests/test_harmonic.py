@@ -48,14 +48,23 @@ def test_spacing_generic_rates():
 
 
 def test_zero_tunneling_collapses_to_one_line():
-    halves = harmonic_line_spectra(ModelParams(n_photons=6, omega0=1.0, j_tun=0.0))
-    assert [len(half) for half in halves] == [1, 1]
-    energies, w00, wn0 = edge_lines(*halves)
-    assert energies.size == 1
-    assert energies[0] == pytest.approx(6.0)
-    assert w00[0] == pytest.approx(1.0)
-    # the halves' weights cancel inside the merged level
-    assert abs(wn0[0]) < 1e-15
+    for n, omega0 in ((6, 1.0), (12, 0.1)):
+        halves = harmonic_line_spectra(ModelParams(n_photons=n, omega0=omega0, j_tun=0.0))
+        # each half is the exact line omega0 N of weight 1: a mean of its
+        # levels could land an ulp off at N=12, omega0=0.1
+        for half in halves:
+            assert (half.energies.tolist(), half.weights.tolist()) == ([omega0 * n], [1.0])
+        # the halves' lines form one row, in which their cross weights cancel
+        assert [column.tolist() for column in edge_lines(*halves)] == [[omega0 * n], [1.0], [0.0]]
+
+
+def test_levels_below_rounding_form_one_line():
+    # 4 J lies below the spacing of doubles at omega0 N = 4: the levels of
+    # each half coincide in floating point and form one line
+    halves = harmonic_line_spectra(ModelParams(n_photons=4, omega0=1.0, j_tun=1e-17))
+    for half in halves:
+        assert half.energies.tolist() == [4.0]
+        assert half.weights.tolist() == [1.0]
 
 
 def test_odd_photon_number_matches_chains():

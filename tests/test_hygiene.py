@@ -1,6 +1,7 @@
 """Hygiene of the package sources, checked on their syntax trees: imports,
-``__all__`` entries, a caller for every public definition, and a reader for
-every config key of the command line."""
+``__all__`` entries, a caller for every public definition, a reader for
+every module-level constant, and a reader for every config key of the
+command line."""
 
 import ast
 import re
@@ -94,6 +95,34 @@ def test_every_public_definition_has_a_caller():
         and not re.search(rf"\b{node.name}\b", text)
     ]
     assert unused == []
+
+
+def _constant_reads(path):
+    """``module.name`` of each name that the module at ``path`` reads: its own
+    names, names it imports from a sibling module, and attributes of a
+    sibling module (``effective.MERGE_RTOL``)."""
+    reads = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(f"{path.stem}.{node.id}")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            reads.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            reads.update(f"{node.module}.{a.name}" for a in node.names)
+    return reads
+
+
+def test_every_module_constant_is_read():
+    """A module-level constant (an upper-case name, private or not) that the
+    package never reads is a setting that does nothing."""
+    constants = {
+        f"{path.stem}.{name}" for path in MODULES
+        for name in _defined(_tree(path)) - _imported(_tree(path))
+        if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)
+    }
+    reads = set().union(*map(_constant_reads, MODULES))
+    assert constants
+    assert sorted(constants - reads) == []
 
 
 def test_every_config_key_is_read():
