@@ -5,8 +5,9 @@ optional JSON config file, then explicit flags, and writes plot-ready CSV
 files next to JSON sidecars echoing the full resolved configuration.
 Identical configurations produce byte-identical output.
 
-Exit codes: 0 ok, 2 configuration error (including a non-finite value and a
-time grid too large to allocate), 3 numerical failure, 4 validation failure.
+Exit codes: 0 ok, 2 configuration error (including a non-finite value, a
+sector matrix entry that overflows and a time grid too large to allocate),
+3 numerical failure, 4 validation failure.
 """
 
 from __future__ import annotations

@@ -62,10 +62,15 @@ class SectorHamiltonian:
         h = np.asarray(self.offdiag, dtype=float)
         if d.ndim != 1 or h.shape != (d.size - 1,):
             raise ValueError("diagonal needs N+1 entries and off-diagonal N entries")
-        scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(h), initial=0.0)))
-        if not np.allclose(d, d[::-1], rtol=0, atol=1e-12 * scale):
+        largest = (float(np.max(np.abs(d))), float(np.max(np.abs(h), initial=0.0)))
+        # NaN as well as infinity: a term beyond double range makes an entry
+        # infinite, and two such terms of opposite sign make it NaN
+        if not all(map(math.isfinite, largest)):
+            raise ValueError("sector matrix overflowed: its entries must be finite")
+        atol = 1e-12 * max(1.0, *largest)
+        if not float(np.max(np.abs(d - d[::-1]))) <= atol:
             raise ValueError("diagonal breaks cavity-exchange symmetry")
-        if not np.allclose(h, h[::-1], rtol=0, atol=1e-12 * scale):
+        if not float(np.max(np.abs(h - h[::-1]), initial=0.0)) <= atol:
             raise ValueError("off-diagonal breaks cavity-exchange symmetry")
         object.__setattr__(self, "diag", _readonly(d))
         object.__setattr__(self, "offdiag", _readonly(h))
@@ -247,7 +252,8 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
     squared first components u^2 of its chain's eigenvectors.  They come from eigenvalues alone, via the
     interlacing product of each chain and the chain without its first row.
     Time O(N^2), memory O(N).  Returns ``(sym, anti)``, of ``N//2 + 1`` and
-    ``(N+1)//2`` lines; fewer where J = 0 and g = 0 make levels coincide.
+    ``(N+1)//2`` lines; fewer where J = 0 and g = 0 make levels coincide, or
+    where J lies below the rounding of the levels.
 
     Raises
     ------
@@ -269,5 +275,11 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
     else:
         sym = (np.concatenate([d[:m], [d[m] + e[m]]]), e[:m])
         anti = (np.concatenate([d[:m], [d[m] - e[m]]]), e[:m])
-    (lam_sym, w_sym), (lam_anti, w_anti) = _chain_lines(*sym), _chain_lines(*anti)
-    return LineSpectrum(lam_sym + centre, w_sym), LineSpectrum(lam_anti + centre, w_anti)
+    halves = []
+    for lam, weights in (_chain_lines(*sym), _chain_lines(*anti)):
+        # eigenvalues resolved apart can round to one double once the centre
+        # is added back: one line with their summed weight, the rule of
+        # edge_lines and harmonic_line_spectra
+        levels, row = np.unique(lam + centre, return_inverse=True)
+        halves.append(LineSpectrum(levels, np.bincount(row, weights)))
+    return tuple(halves)

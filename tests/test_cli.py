@@ -58,6 +58,18 @@ def test_spectrum_lines_frozen_and_deterministic(tmp_path):
         "harmonic": {"lines": 3, "zero_weight_lines": 0, "weight_sum_defect": 0.0}}
 
 
+def test_chain_levels_equal_once_the_centre_is_added_back_form_one_line(tmp_path):
+    """J = 1e-17 lies below the rounding of the levels at 4: the chains'
+    eigenvalues, resolved apart about 0, become one double, and the line
+    table is the harmonic one."""
+    args = ("--N", 4, "--J", 1e-17, "--omega0", 1, "--g", 0)
+    for model in ("harmonic", "anharmonic-oracle"):
+        result = invoke("spectrum", "--model", model, *args, "--out", tmp_path)
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / f"spectrum_{model}.csv").read_text().splitlines()
+        assert rows == ["energy,weight00,weightN0", "4,1,0"]
+
+
 def test_spectrum_compare_reports_tiny_deviation(tmp_path):
     result = invoke("spectrum", "--compare", "--N", 8, "--g", 1.2, "--J", 0.8,
                     "--epsilon", 0.01, "--out", tmp_path)
@@ -426,6 +438,22 @@ def test_recursion_overflow_exits_3_with_only_the_error_line(tmp_path):
     assert probe.stderr.splitlines() == [
         "error: the pair recursion overflowed; evaluate nearer the spectrum"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ("spectrum", "--model", "anharmonic-oracle"),
+    ("spectrum", "--model", "anharmonic-rpm", "--epsilon", "0.1"),
+    ("dynamics",),
+], ids=["spectrum-oracle", "spectrum-rpm", "dynamics"])
+def test_overflowing_sector_entry_exits_2_with_only_the_error_line(tmp_path, args):
+    """At g = 1e308 the sector diagonal overflows; the run names it, with no
+    NumPy warning printed before it."""
+    out = tmp_path / "out"
+    probe = run_python("-m", "cavity_rpm.cli", *args, "--g", "1e308", "--out", str(out))
+    assert probe.returncode == 2
+    assert probe.stderr.splitlines() == [
+        "error: sector matrix overflowed: its entries must be finite"]
+    assert list(out.iterdir()) == []
 
 
 def test_validate_passes_by_default(tmp_path):

@@ -85,6 +85,35 @@ def test_hamiltonian_rejects_asymmetric_input():
         SectorHamiltonian(diag=[0.0, 0.0], offdiag=[1.0, 1.0])
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda dev: ([dev, 0.0, 0.0], [0.0, 0.0]), "diagonal"),
+    (lambda dev: ([0.0, 0.0, 0.0], [dev, 0.0]), "off-diagonal"),
+    # the tolerance scales with the largest entry, here an off-diagonal 4
+    (lambda dev: ([4.0 * dev, 0.0, 0.0], [4.0, 4.0]), "diagonal"),
+], ids=["diagonal", "off-diagonal", "scaled"])
+def test_exchange_symmetry_tolerance_is_1e_12_of_the_largest_entry(build, name):
+    SectorHamiltonian(*build(1e-12))
+    with pytest.raises(ValueError, match=f"^{name} breaks cavity-exchange symmetry$"):
+        SectorHamiltonian(*build(2e-12))
+
+
+@pytest.mark.parametrize("diag, offdiag", [
+    ([math.nan, 0.0, math.nan], [1.0, 1.0]),
+    ([0.0, 0.0, 0.0], [math.nan, math.nan]),
+    ([math.inf, math.inf, math.inf], [1.0, 1.0]),
+    ([0.0, 0.0, 0.0], [-math.inf, -math.inf]),
+], ids=["nan-diagonal", "nan-off-diagonal", "inf-diagonal", "inf-off-diagonal"])
+def test_hamiltonian_refuses_non_finite_entries_by_name(diag, offdiag):
+    """Mirror-symmetric but not finite: refused as an overflow, not passed on."""
+    with pytest.raises(ValueError, match="^sector matrix overflowed"):
+        SectorHamiltonian(diag=diag, offdiag=offdiag)
+
+
+def test_one_state_hamiltonian_has_an_empty_off_diagonal():
+    h = SectorHamiltonian(diag=[2.5], offdiag=[])
+    assert h.n_photons == 0 and h.offdiag.shape == (0,)
+
+
 def test_eigensystem_quality():
     params = ModelParams(n_photons=20, omega0=1.0, g=1.2, j_tun=0.8)
     h = build_sector_hamiltonian(params)

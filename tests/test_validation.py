@@ -1,12 +1,13 @@
 """The cross-check registry: green on the real code, loud on sabotage."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cavity_rpm import harmonic, rpm, validation
+from cavity_rpm import effective, harmonic, rpm, validation
 from cavity_rpm.validation import CheckResult, run_checks
 
 
@@ -15,6 +16,47 @@ def test_all_checks_pass():
     failing = [r.name for r in report.results if not r.passed]
     assert report.passed, f"failing checks: {failing}"
     assert len(report.results) == len(validation.CHECKS)
+    # every reference is recomputed: no state carries from one run to the next
+    assert run_checks().as_dict() == report.as_dict()
+
+
+def test_stacked_dense_references_equal_per_point_solves():
+    """One stacked solve per depth gives the bytes of one solve per probe
+    point of the block built from three ``np.diag`` calls."""
+    zs = np.array(validation._PROBE_Z)
+    for params in validation._SMALL_GRID:
+        h = effective.build_sector_hamiltonian(params)
+        for k in range(params.n_photons // 2 + 1):
+            a, b = validation._dense_pair_elements(h, zs, k)
+            lo, hi = h.n_photons // 2 - k, (h.n_photons + 1) // 2 + k
+            d = h.diag[lo:hi + 1]
+            e = h.offdiag[lo:hi].astype(complex)
+            rhs = np.zeros(d.size, dtype=complex)
+            rhs[0] = 1.0
+            for i, z in enumerate(validation._PROBE_Z):
+                m = np.diag(z - d.astype(complex)) - np.diag(e, 1) - np.diag(e, -1)
+                x = np.linalg.solve(m, rhs)
+                assert a[i].tobytes() == x[0].tobytes(), (params, k, z)
+                assert b[i].tobytes() == x[-1].tobytes(), (params, k, z)
+
+
+def test_ladder_operator_built_once_per_k_gives_the_per_element_floats():
+    for op_kind, k in itertools.product(("annihilate", "create"), range(1, 51)):
+        full = validation._ladder_operator(op_kind, k)
+        for b_out, b_in, bra in itertools.product((1, -1), (1, -1), (k - 1, k + 1)):
+            # the operator and both dressed vectors built afresh for one element
+            dim = k + 4
+            lowering = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+            op = lowering if op_kind == "annihilate" else lowering.T
+            vectors = []
+            for n, branch in ((bra, b_out), (k, b_in)):
+                v = np.zeros(2 * dim)
+                v[2 * n + 1] = branch / math.sqrt(2.0)
+                v[2 * (n + 1)] = 1.0 / math.sqrt(2.0)
+                vectors.append(v)
+            expected = float(vectors[0] @ np.kron(op, np.eye(2)) @ vectors[1])
+            got = validation._brute_dressed_element(full, k, b_out, b_in, bra)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 def test_report_serialization():
