@@ -6,8 +6,8 @@ files next to JSON sidecars echoing the full resolved configuration.
 Identical configurations produce byte-identical output.
 
 Exit codes: 0 ok, 2 configuration error (including a non-finite value, a
-sector matrix entry that overflows and a time grid too large to allocate),
-3 numerical failure, 4 validation failure.
+sector matrix entry or closed-form line energy that overflows and a time
+grid too large to allocate), 3 numerical failure, 4 validation failure.
 """
 
 from __future__ import annotations

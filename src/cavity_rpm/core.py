@@ -119,8 +119,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LineSpectrum:
-    """Finite line spectrum |<E_j|psi>|^2 of one state: energies strictly
-    ascending, real weights >= 0 summing to 1."""
+    """Finite line spectrum |<E_j|psi>|^2 of one state: energies finite and
+    strictly ascending, real weights >= 0 summing to 1."""
 
     energies: np.ndarray
     weights: np.ndarray
@@ -134,6 +134,8 @@ class LineSpectrum:
             raise ValueError("a spectrum needs at least one line")
         if not np.all(np.diff(energies) > 0):
             raise ValueError("energies must be strictly ascending")
+        if not np.all(np.isfinite(energies)):
+            raise ValueError("line energies overflowed: they must be finite")
         if not np.all(weights >= -1e-14):
             raise ValueError("weights must be non-negative")
         total = float(np.sum(weights))

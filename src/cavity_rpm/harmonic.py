@@ -29,7 +29,9 @@ def harmonic_line_spectra(params: ModelParams) -> tuple[LineSpectrum, LineSpectr
     """
     n = params.n_photons
     k = np.arange(n + 1)
-    energies = params.omega0 * n + params.j_tun * (n - 2.0 * k)
+    # an energy beyond double range is refused below by LineSpectrum, by name
+    with np.errstate(over="ignore"):
+        energies = params.omega0 * n + params.j_tun * (n - 2.0 * k)
     weights = np.empty(n + 1)
     total = 1 << n
     binomial = 1

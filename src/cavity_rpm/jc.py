@@ -34,7 +34,11 @@ def jc_energy(params: ModelParams, n: int, branch: int) -> float:
     if n < 0:
         raise ValueError(f"photon index must be >= 0, got {n}")
     _check_branch(branch)
-    return params.omega0 * (n + 0.5) + branch * math.sqrt(4.0 * params.g**2 * (n + 1))
+    try:
+        return params.omega0 * (n + 0.5) + branch * math.sqrt(4.0 * params.g**2 * (n + 1))
+    except OverflowError:
+        # g**2 of a Python float raises where it leaves double range
+        raise ValueError("dressed energy overflowed: g**2 must be finite") from None
 
 
 def rabi_amplitudes(params: ModelParams, times) -> tuple[AmplitudeSeries, AmplitudeSeries]:

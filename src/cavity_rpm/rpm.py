@@ -10,11 +10,13 @@ block of the form [[a, b], [b, a]], so two complex coefficients per depth
 suffice:
 
     D = z - f(s+1) - t_s^2 a_k        B = t_s^2 b_k
-    a_{k+1} = D / (D^2 - B^2)         b_{k+1} = B / (D^2 - B^2)
+    r = 1 / ((D - B)(D + B))
+    a_{k+1} = D r                     b_{k+1} = B r
 
 where f(s) is the pair energy and t_s^2 the squared tunneling amplitude
-into the next pair.  After N//2 steps a and b are the diagonal and cross
-resolvent elements on the edge states |N,0>, |0,N>.
+into the next pair; one complex division per depth forms r.  After N//2
+steps a and b are the diagonal and cross resolvent elements on the edge
+states |N,0>, |0,N>.
 
 Depth 0 sits at s = (N mod 2)/2; let d = z - f(s).  For N = 2M it is the
 centre state |M, M> counted twice, so a = b = 1/d; for N = 2M+1 it is the
@@ -118,23 +120,33 @@ def _descend(params: ModelParams, z: np.ndarray) -> Iterator[tuple[int, np.ndarr
                 "move z further off the real axis",
                 depth=k + 1,
             )
-        np.divide(a, den, out=a)
-        np.divide(b, den, out=b)
+        # a = D / den and b = B / den with one division: den becomes 1/den
+        np.reciprocal(den, out=den)
+        np.multiply(a, den, out=a)
+        np.multiply(b, den, out=b)
         yield k + 1, a, b
 
 
-def rpm_walk(params: ModelParams, z: complex) -> Iterator[tuple[int, complex, complex]]:
+def rpm_walk(params: ModelParams, z) -> Iterator[tuple[int, complex | np.ndarray,
+                                                         complex | np.ndarray]]:
     """Yield ``(k, a, b)`` at every depth k from 0 through N//2.
 
     ``a`` is the diagonal resolvent element on either member of pair ``k``
     of the chain truncated at that pair; ``b`` is the element crossing the
     pair.  Depth 0 is the centre state at even N, where both equal its
     resolvent 1/(z - f(0)), and the centre pair at odd N.
+    ``z`` is a complex scalar, giving complex ``a`` and ``b``, or an array,
+    giving a fresh copy of each of shape ``z.shape`` at every depth.  The
+    last depth is :func:`rpm_resolvent` at the same ``z``, bit for bit.
     Used for validation and failure localization; grid evaluation goes
     through :func:`rpm_resolvent`.
     """
-    for k, a, b in _descend(params, np.array([z], dtype=complex)):
-        yield k, complex(a[0]), complex(b[0])
+    zs = np.asarray(z, dtype=complex)
+    for k, a, b in _descend(params, zs.ravel()):
+        if zs.ndim == 0:
+            yield k, complex(a[0]), complex(b[0])
+        else:
+            yield k, a.reshape(zs.shape).copy(), b.reshape(zs.shape).copy()
 
 
 def rpm_resolvent(params: ModelParams, z):

@@ -456,6 +456,23 @@ def test_overflowing_sector_entry_exits_2_with_only_the_error_line(tmp_path, arg
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--model", "harmonic", "--omega0", "1e308"), "line energies overflowed: they must be finite"),
+    (("--model", "harmonic", "--J", "1e308"), "line energies overflowed: they must be finite"),
+    (("--model", "jc", "--g", "1e308"), "dressed energy overflowed: g**2 must be finite"),
+], ids=["harmonic-omega0", "harmonic-J", "jc"])
+def test_overflowing_line_energy_exits_2_with_only_the_error_line(tmp_path, args, message):
+    """A closed-form line energy beyond double range is refused as the
+    sector models refuse an overflowing matrix entry: no infinite line is
+    written, no NumPy warning comes first, and no Python OverflowError reads
+    as a numerical failure."""
+    out = tmp_path / "out"
+    probe = run_python("-m", "cavity_rpm.cli", "spectrum", *args, "--N", "2", "--out", str(out))
+    assert probe.returncode == 2
+    assert probe.stderr.splitlines() == [f"error: {message}"]
+    assert list(out.iterdir()) == []
+
+
 def test_validate_passes_by_default(tmp_path):
     result = invoke("validate", "--out", tmp_path)
     assert result.exit_code == 0, result.output

@@ -172,6 +172,9 @@ def test_line_spectrum_invariants():
         LineSpectrum(energies=[1.0, 1.0], weights=[0.5, 0.5])
     with pytest.raises(ValueError, match="at least one"):
         LineSpectrum(energies=[], weights=[])
+    for energies in ([math.inf], [0.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="overflowed"):
+            LineSpectrum(energies=energies, weights=[1.0] + [0.0] * (len(energies) - 1))
     spec = LineSpectrum(energies=[0.0, 1.0], weights=[0.25, 0.75])
     assert len(spec) == 2
     assert spec.weights.dtype == float

@@ -138,6 +138,27 @@ def test_nan_depth_sample_is_the_first_failure(monkeypatch):
     assert result.data["first_failure"]["depth"] == 2
 
 
+def test_first_failure_scans_probe_points_outer_and_depths_inner(monkeypatch):
+    """All probe points are walked at once, but the first failure is still
+    the shallowest failing depth of the first failing point."""
+    original = rpm.rpm_walk
+
+    def nan_walk(params, z):
+        for k, a, b in original(params, z):
+            if k == 0:
+                b[1] = math.nan
+            if k == 1:
+                b[0] = math.nan
+            yield k, a, b
+
+    monkeypatch.setattr(rpm, "rpm_walk", nan_walk)
+    result = validation.check_oracle_equivalence()
+    assert result.passed is False
+    failure = result.data["first_failure"]
+    assert (failure["depth"], failure["z"]) == (1, repr(validation._PROBE_Z[0]))
+    assert result.data["n_compared"] == 1872
+
+
 def test_dressed_element_check_reports_bra_convention():
     result = validation.check_dressed_matrix_elements()
     assert result.passed
