@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, effective, harmonic, jc, rpm
 from .core import ModelParams, NumericalFailureError, edge_lines, smoothed_density
-from .dynamics import default_time_grid, evolve, first_transfer_time
-from .entanglement import default_sampling_window, sample_joint, score_samples
+from .dynamics import _chunks, default_time_grid, evolve, first_transfer_time
+from .entanglement import JointAccumulator, default_sampling_window
 from .validation import run_checks
 
 MODELS = ("jc", "harmonic", "anharmonic-rpm", "anharmonic-oracle")
@@ -129,10 +129,14 @@ def _params(cfg: dict) -> ModelParams:
 
 
 def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]):
+    """Write ``columns`` of numbers, each as ``"%.17g"``, or of ``str``, each
+    as it is."""
     header = ",".join(name for name, _ in columns)
-    arrays = [np.asarray(col, dtype=float) for _, col in columns]
+    arrays = [np.asarray(col) for _, col in columns]
+    text = [a.dtype.kind == "U" for a in arrays]
+    arrays = [a if t else a.astype(float, copy=False) for a, t in zip(arrays, text)]
     # "%.17g" gives the text of format(v, ".17g"), also for -0, inf and nan
-    line = ",".join(["%.17g"] * len(arrays)) + "\n"
+    line = ",".join("%s" if t else "%.17g" for t in text) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         # Python floats format faster than NumPy scalars, to the same text;
@@ -412,15 +416,30 @@ def _noon_single(cfg: dict, params: ModelParams):
     t_auto, dt_auto = default_sampling_window(params, lines[0])
     t_max = t_auto if cfg["tmax"] is None else float(cfg["tmax"])
     dt = dt_auto if cfg["dt"] is None else float(cfg["dt"])
-    ret, tra = evolve(*halves, t_max, dt)
-    hist = sample_joint(ret, tra, int(cfg["bins"]))
-    feasibility = score_samples(ret, tra, cfg["noon_threshold"])
-    summary = {**dataclasses.asdict(feasibility), "t_max": t_max, "dt": dt}
-    return hist, summary, {model: _diagnostics(lines)}
+    stats = JointAccumulator(int(cfg["bins"]), cfg["noon_threshold"])
+    # the series are never held whole: each chunk is binned and scored
+    for _, c0, cn in _chunks(*halves, t_max, dt):
+        stats.add(c0, cn)
+    # the time of sample k as the grid arange(n) * dt holds it
+    feasibility = stats.feasibility(stats.best_index * dt)
+    _, w00, wn0 = lines
+    return stats.histogram(), {
+        "summary": {**dataclasses.asdict(feasibility), "t_max": t_max, "dt": dt},
+        # the sampled long-time means against the exact ones over distinct
+        # energies; they part where the window is short of the slowest beat
+        "long_time_means": {
+            "abs_c0_sq": {"sampled": stats.sum_c0_sq / stats.n_samples,
+                          "exact": float(np.sum(w00 * w00))},
+            "abs_cN_sq": {"sampled": stats.sum_cn_sq / stats.n_samples,
+                          "exact": float(np.sum(wn0 * wn0))},
+        },
+        "diagnostics": {model: _diagnostics(lines)},
+    }
 
 
-def _write_noon(out_path: Path, cfg: dict, suffix: str, hist, summary, diagnostics):
-    centers = hist.bin_centers()
+def _write_noon(out_path: Path, cfg: dict, suffix: str, hist, extra: dict):
+    # each centre's text once, written as it is in every row that holds it
+    centers = np.array(["%.17g" % c for c in hist.bin_centers().tolist()])
     c0 = np.repeat(centers, hist.size)
     cn = np.tile(centers, hist.size)
     csv_path = out_path / f"noon_{cfg['model']}{suffix}.csv"
@@ -433,7 +452,7 @@ def _write_noon(out_path: Path, cfg: dict, suffix: str, hist, summary, diagnosti
         "bin_width": hist.bin_width,
     }
     _write_json(csv_path.with_suffix(".json"), _sidecar("noon", cfg, {
-        "summary": summary, "metadata": metadata, "diagnostics": diagnostics,
+        **extra, "metadata": metadata,
     }))
     return csv_path
 

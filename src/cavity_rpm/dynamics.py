@@ -11,6 +11,11 @@ from .core import AmplitudeSeries, LineSpectrum, ModelParams
 __all__ = ["evolve", "first_transfer_time", "default_time_grid"]
 
 TRANSFER_FLOOR = 1e-6
+# blocks of the synthesis evaluated at once, as one stacked matrix product
+_CHUNK_BLOCKS = 64
+# the largest time grid: 2^30 samples, over 500 times the default noon
+# window, whose chunks of 64 blocks of 2^15 samples still fit in memory
+_MAX_SAMPLES = 2**30
 
 
 def default_time_grid(params: ModelParams) -> tuple[float, float]:
@@ -41,28 +46,62 @@ def _two_product(a: float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return product, error
 
 
-def _block_sums(energies: np.ndarray, weights: np.ndarray, times, centre: float) -> np.ndarray:
-    """``sum_j w_j exp(-i (E_j - c) t)`` on :func:`evolve`'s grid ``arange(n) * dt``,
-    n >= 2: its block synthesis without the common phase ``exp(-i c t)``.
+def _sample_count(t_max: float, dt: float) -> int:
+    """Samples of the grid ``t_k = k dt``, ``k = 0..floor(t_max / dt)``.
 
-    Takes any number of lines, none included (the sums are then zero).  Lines
-    of zero weight add nothing and are skipped.
+    Raises ``ValueError`` unless ``0 < dt <= t_max`` with ``t_max / dt``
+    finite and at most ``_MAX_SAMPLES`` samples.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
+    if t_max < dt:
+        raise ValueError(f"t_max must be at least dt, got t_max={t_max}, dt={dt}")
+    if not math.isfinite(t_max / dt):
+        raise ValueError(f"time grid too large: t_max / dt = {t_max / dt} steps")
+    n = int(math.floor(t_max / dt + 1e-12)) + 1
+    if n > _MAX_SAMPLES:
+        raise ValueError(f"time grid too large: {n} samples, at most {_MAX_SAMPLES}")
+    return n
+
+
+def _block_sums(energies: np.ndarray, weights: np.ndarray, n: int, dt: float, centre: float):
+    """Yield ``sum_j w_j exp(-i (E_j - c) t)`` on :func:`evolve`'s grid
+    ``arange(n) * dt``, n >= 2, chunk by chunk in time order: its block
+    synthesis without the common phase ``exp(-i c t)``.
+
+    A chunk holds ``_CHUNK_BLOCKS`` blocks, and the last one also the partial
+    block at the end, so that no chunk is shorter than a block.  Takes any
+    number of lines, none included (the sums are then zero).  Lines of zero
+    weight add nothing and are skipped.
     """
     reached = weights != 0
     energies, weights = energies[reached], weights[reached]
-    n = times.size
     block = math.ceil(math.sqrt(n))
     # the step as the span over n - 1, which can differ from dt in the last
     # bit: the written series carry its rounding
-    offsets = np.arange(block) * (float(times[-1]) / (n - 1))
+    offsets = np.arange(block) * ((n - 1) * dt / (n - 1))
     shifted = energies - centre
     table = np.exp(-1j * np.outer(offsets, shifted))
-    phasors = weights * np.exp(-1j * np.outer(times[::block], shifted))
-    values = np.empty(n, dtype=complex)
-    for start, phasor in zip(range(0, n, block), phasors):
-        stop = min(start + block, n)
-        values[start:stop] = table[:stop - start] @ phasor
-    return values
+    complete = n // block
+    for first in range(0, complete, _CHUNK_BLOCKS):
+        last = first + _CHUNK_BLOCKS
+        stop = last * block if last < complete else n
+        # phasors at each block's own first time k dt, as arange(n) * dt gives it
+        starts = np.arange(first * block, stop, block)
+        phasors = weights * np.exp(-1j * np.outer(starts * dt, shifted))
+        values = np.empty(stop - first * block, dtype=complex)
+        # one matrix-vector product per whole block, stacked; the partial
+        # block multiplies the table's first rows alone, because a product of
+        # one row rounds otherwise than that row of the whole table
+        whole = min(last, complete) - first
+        np.matmul(table, phasors[:whole, :, None],
+                  out=values[:whole * block].reshape(whole, block, 1))
+        if whole < starts.size:
+            np.matmul(table[:values.size - whole * block], phasors[whole],
+                      out=values[whole * block:])
+        yield values
 
 
 def _common_phase(centre: float, times: np.ndarray) -> np.ndarray:
@@ -70,6 +109,31 @@ def _common_phase(centre: float, times: np.ndarray) -> np.ndarray:
     phase, error = _two_product(centre, times)
     # |error| <= ulp(c t) / 2, so exp(-i error) = 1 - i error to within eps^2
     return np.exp(-1j * phase) * (1.0 - 1j * error)
+
+
+def _chunks(sym: LineSpectrum, anti: LineSpectrum, t_max: float, dt: float):
+    """Yield ``(start, c0, cN)``: :func:`evolve`'s series chunk by chunk in
+    time order, ``c0`` and ``cN`` the samples from index ``start`` on, the
+    same bits as the full series.  Checks the window before any work."""
+    n = _sample_count(t_max, dt)
+    lowest = min(sym.energies[0], anti.energies[0])
+    highest = max(sym.energies[-1], anti.energies[-1])
+    centre = 0.5 * (lowest + highest)
+    start = 0
+    for plus, minus in zip(*(_block_sums(s.energies, s.weights, n, dt, centre)
+                             for s in (sym, anti))):
+        stop = start + plus.size
+        # c0 = (S + A)/2 P and cN = (S - A)/2 P; halving P instead is exact.
+        # A chunk spans two samples or more: NumPy multiplies a single complex
+        # in place without the fused products of its array loop
+        phase = _common_phase(centre, np.arange(start, stop) * dt)
+        phase *= 0.5
+        c0 = plus + minus
+        cn = np.subtract(plus, minus, out=plus)
+        c0 *= phase
+        cn *= phase
+        yield start, c0, cn
+        start = stop
 
 
 def evolve(
@@ -94,39 +158,23 @@ def evolve(
     common phase ``exp(-i c t)`` is computed once for the two series, with
     ``c t`` carried to twice working precision so that it adds no error
     shared by all lines.  That is about ``2 sqrt(n) L + n`` complex
-    exponentials for L lines of nonzero weight, instead of ``n L``; memory is
-    O(n + sqrt(n) L).
+    exponentials for L lines of nonzero weight, instead of ``n L``.  The
+    blocks are evaluated a chunk of ``_CHUNK_BLOCKS`` at a time, so that
+    apart from the two series the memory is O(sqrt(n) L).
 
     Accuracy: each line's phase is rounded about as often as in the direct
     sum ``exp(-1j * np.outer(t, E)) @ w``, and the two agree to within
     ``8 eps (max|E| t_max + L) sum|w_j|``.  Raises ``ValueError`` unless
-    ``0 < dt <= t_max`` with ``t_max / dt`` finite.
+    ``0 < dt <= t_max`` with ``t_max / dt`` finite and at most
+    ``_MAX_SAMPLES`` samples.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not math.isfinite(t_max):
-        raise ValueError(f"t_max must be finite, got {t_max}")
-    if t_max < dt:
-        raise ValueError(f"t_max must be at least dt, got t_max={t_max}, dt={dt}")
-    if not math.isfinite(t_max / dt):
-        raise ValueError(f"time grid too large: t_max / dt = {t_max / dt} steps")
-    n_steps = int(math.floor(t_max / dt + 1e-12))
-    times = np.arange(n_steps + 1) * dt
-    lowest = min(sym.energies[0], anti.energies[0])
-    highest = max(sym.energies[-1], anti.energies[-1])
-    centre = 0.5 * (lowest + highest)
-    # c0 = (S + A)/2 P and cN = (S - A)/2 P; halving P instead is exact
-    phase = _common_phase(centre, times)
-    phase *= 0.5
-    plus, minus = (_block_sums(s.energies, s.weights, times, centre) for s in (sym, anti))
-    # few full-length buffers: cN takes S's place, and A and P go before the
-    # series take c0 and cN
-    c0 = plus + minus
-    cn = np.subtract(plus, minus, out=plus)
-    del minus
-    c0 *= phase
-    cn *= phase
-    del phase
+    n = _sample_count(t_max, dt)
+    times = np.arange(n) * dt
+    c0 = np.empty(n, dtype=complex)
+    cn = np.empty(n, dtype=complex)
+    for start, c0_part, cn_part in _chunks(sym, anti, t_max, dt):
+        c0[start:start + c0_part.size] = c0_part
+        cn[start:start + cn_part.size] = cn_part
     # frozen, owned buffers: the series keep them without a copy
     for owned in (times, c0, cn):
         owned.flags.writeable = False

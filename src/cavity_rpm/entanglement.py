@@ -16,6 +16,7 @@ import numpy as np
 from .core import AMPLITUDE_BOUND_TOL, AmplitudeSeries, ModelParams, _readonly
 
 __all__ = [
+    "JointAccumulator",
     "JointHistogram",
     "NoonFeasibility",
     "sample_joint",
@@ -55,25 +56,6 @@ class JointHistogram:
     def bin_centers(self) -> np.ndarray:
         b = self.size
         return (np.arange(b) + 0.5) / b
-
-
-def sample_joint(ret: AmplitudeSeries, tra: AmplitudeSeries, bins: int = 50) -> JointHistogram:
-    """Histogram the joint moduli (|return(t)|, |transition(t)|).
-
-    Both series must share the identical time grid.  Mass is normalized to
-    one; the axes are amplitude moduli on [0, 1].
-    """
-    if bins < 2:
-        raise ValueError(f"need at least 2 bins, got {bins}")
-    if not np.array_equal(ret.times, tra.times):
-        raise ValueError("return and transition series must share one time grid")
-    # rounding can push a modulus a few ulp past 1; clip instead of dropping
-    counts, _, _ = np.histogram2d(
-        np.minimum(np.abs(ret.values), 1.0), np.minimum(np.abs(tra.values), 1.0),
-        bins=bins, range=[[0.0, 1.0], [0.0, 1.0]],
-    )
-    n = len(ret)
-    return JointHistogram(bins=counts / n, n_samples=n)
 
 
 def noon_score(return_amp, transition_amp):
@@ -125,6 +107,85 @@ class NoonFeasibility:
     n_samples: int
 
 
+class JointAccumulator:
+    """Running statistics of the joint moduli ``(|c0|, |cN|)`` of one window,
+    fed its samples chunk by chunk in time order with :meth:`add`.
+
+    It keeps the counts of a ``bins x bins`` histogram over ``[0, 1]^2``
+    (``np.histogram2d``'s bins, a modulus of 1 or a few ulp above it in the
+    last one), the best :func:`noon_score` and the index of its earliest
+    sample, the count of scores above ``threshold``, the sample count and the
+    sums of ``|c0|^2`` and ``|cN|^2``.  A whole series fed as one chunk gives
+    :func:`sample_joint` and :func:`score_samples`; any split of it into
+    chunks gives the same histogram and scores.
+    """
+
+    def __init__(self, bins: int = 50, threshold: float = 0.55):
+        if bins < 2:
+            raise ValueError(f"need at least 2 bins, got {bins}")
+        self.bins = bins
+        self.threshold = threshold
+        # the inner edges of np.histogram2d's bins: a modulus of 1 or above
+        # lies right of all of them, in the last bin
+        self._inner_edges = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+        self._counts = np.zeros(bins * bins, dtype=np.int64)
+        self.n_samples = 0
+        self.best_score = -math.inf
+        self.best_index = 0
+        self.n_above = 0
+        self.sum_c0_sq = 0.0
+        self.sum_cn_sq = 0.0
+
+    def add(self, return_amp, transition_amp):
+        """Take the next samples of the return and transition amplitudes."""
+        c0 = np.abs(return_amp)
+        cn = np.abs(transition_amp)
+        scores = noon_score(c0, cn)
+        row = np.searchsorted(self._inner_edges, c0, side="right")
+        row *= self.bins
+        row += np.searchsorted(self._inner_edges, cn, side="right")
+        self._counts += np.bincount(row, minlength=self._counts.size)
+        best = int(np.argmax(scores))
+        # a later chunk takes the lead only with a strictly higher score, so
+        # the index stays the earliest of the maximum
+        if scores[best] > self.best_score:
+            self.best_score = float(scores[best])
+            self.best_index = self.n_samples + best
+        self.n_above += int(np.count_nonzero(scores > self.threshold))
+        self.sum_c0_sq += float(np.sum(np.square(c0, out=c0)))
+        self.sum_cn_sq += float(np.sum(np.square(cn, out=cn)))
+        self.n_samples += c0.size
+
+    def histogram(self) -> JointHistogram:
+        """The histogram of the samples taken, normalized to mass one."""
+        return JointHistogram(bins=self._counts.reshape(self.bins, self.bins) / self.n_samples,
+                              n_samples=self.n_samples)
+
+    def feasibility(self, argmax_time: float) -> NoonFeasibility:
+        """The summary of the scores, with ``argmax_time`` the time of sample
+        ``best_index``."""
+        return NoonFeasibility(
+            max_score=self.best_score,
+            argmax_time=argmax_time,
+            fraction_above=self.n_above / self.n_samples,
+            threshold=self.threshold,
+            n_samples=self.n_samples,
+        )
+
+
+def sample_joint(ret: AmplitudeSeries, tra: AmplitudeSeries, bins: int = 50) -> JointHistogram:
+    """Histogram the joint moduli (|return(t)|, |transition(t)|).
+
+    Both series must share the identical time grid.  Mass is normalized to
+    one; the axes are amplitude moduli on [0, 1].
+    """
+    stats = JointAccumulator(bins)
+    if not np.array_equal(ret.times, tra.times):
+        raise ValueError("return and transition series must share one time grid")
+    stats.add(ret.values, tra.values)
+    return stats.histogram()
+
+
 def score_samples(
     ret: AmplitudeSeries, tra: AmplitudeSeries, threshold: float = 0.55
 ) -> NoonFeasibility:
@@ -133,12 +194,6 @@ def score_samples(
     Reports the best score, the earliest time attaining it and the fraction
     of samples scoring above ``threshold``.
     """
-    scores = noon_score(ret.values, tra.values)
-    best = int(np.argmax(scores))
-    return NoonFeasibility(
-        max_score=float(scores[best]),
-        argmax_time=float(ret.times[best]),
-        fraction_above=float(np.mean(scores > threshold)),
-        threshold=threshold,
-        n_samples=len(ret),
-    )
+    stats = JointAccumulator(threshold=threshold)
+    stats.add(ret.values, tra.values)
+    return stats.feasibility(float(ret.times[stats.best_index]))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,9 @@ def test_csv_text_is_format_17g_of_every_value(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
     cli._write_csv(path, [("only", ())])
     assert path.read_bytes() == b"only\n"
+    # a column of text is written as it is
+    cli._write_csv(path, [("label", np.array(["0.25", "-0"])), ("x", [0.1, -0.0])])
+    assert path.read_bytes() == b"label,x\n0.25,0.10000000000000001\n-0,-0\n"
 
 
 def test_spectrum_lines_frozen_and_deterministic(tmp_path):
@@ -235,6 +239,37 @@ def test_noon_summary_and_histogram(tmp_path):
     assert 0.0 <= summary["max_score"] <= 1.0 + 1e-9
     assert sidecar["metadata"]["axes"] == "moduli"
     assert sidecar["diagnostics"]["anharmonic-oracle"]["lines"] == 5
+
+
+def test_noon_sidecar_holds_sampled_and_exact_long_time_means(tmp_path):
+    """The default run samples long enough: both <|cN|^2> read 0.056341.  At
+    N=20, g=2, J=0.2, omega0=0 the edge doublet's transfer lies beyond the
+    default window, and the sampled 0.00079 stands against the exact 0.435."""
+    means = {}
+    for name, args in (("default", ()),
+                       ("doublet", ("--N", 20, "--g", 2, "--J", 0.2, "--omega0", 0))):
+        result = invoke("noon", *args, "--out", tmp_path / name)
+        assert result.exit_code == 0, result.output
+        sidecar = json.loads((tmp_path / name / "noon_anharmonic-oracle.json").read_text())
+        means[name] = sidecar["long_time_means"]
+    default, doublet = means["default"], means["doublet"]
+    assert round(default["abs_cN_sq"]["sampled"], 6) == 0.056341
+    assert round(default["abs_cN_sq"]["exact"], 6) == 0.056341
+    assert default["abs_c0_sq"]["exact"] == default["abs_cN_sq"]["exact"]
+    assert round(doublet["abs_cN_sq"]["sampled"], 5) == 0.00079
+    assert round(doublet["abs_cN_sq"]["exact"], 3) == 0.435
+
+
+def test_noon_refuses_an_oversized_window_before_any_work(tmp_path):
+    """10^15 samples exit 2 at once with the sample count named, and nothing
+    is written."""
+    start = time.perf_counter()
+    result = invoke("noon", "--model", "harmonic", "--N", 4, "--tmax", 1e12, "--dt", 1e-3,
+                    "--out", tmp_path)
+    assert time.perf_counter() - start < 5.0
+    assert result.exit_code == 2
+    assert "time grid too large: 1000000000000001 samples" in result.output
+    assert list(tmp_path.glob("*.csv")) == [] and list(tmp_path.glob("*.json")) == []
 
 
 def test_noon_sweep_writes_one_file_per_n(tmp_path):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavity_rpm import dynamics
 from cavity_rpm.core import LineSpectrum, ModelParams
-from cavity_rpm.dynamics import default_time_grid, evolve, first_transfer_time
+from cavity_rpm.dynamics import _block_sums, default_time_grid, evolve, first_transfer_time
 from cavity_rpm.effective import (
     build_sector_hamiltonian,
     diagonalize,
@@ -128,6 +129,52 @@ def test_evolve_input_validation():
             evolve(sym, anti, bad, 0.01)
     with pytest.raises(ValueError, match="time grid too large"):
         evolve(sym, anti, 1e300, 1e-10)
+    # 10^15 samples: refused by count, before any buffer is sized
+    with pytest.raises(ValueError, match="time grid too large: 1000000000000001 samples"):
+        evolve(sym, anti, 1e12, 1e-3)
+
+
+def loop_block_sums(energies, weights, times, centre):
+    """The block synthesis with one matrix-vector product per block, in a
+    Python loop over all blocks of the full grid ``times``: the reference that
+    the chunked, stacked products must reproduce bit for bit."""
+    reached = weights != 0
+    energies, weights = energies[reached], weights[reached]
+    n = times.size
+    block = math.ceil(math.sqrt(n))
+    offsets = np.arange(block) * (float(times[-1]) / (n - 1))
+    shifted = energies - centre
+    table = np.exp(-1j * np.outer(offsets, shifted))
+    phasors = weights * np.exp(-1j * np.outer(times[::block], shifted))
+    values = np.empty(n, dtype=complex)
+    for start, phasor in zip(range(0, n, block), phasors):
+        stop = min(start + block, n)
+        values[start:stop] = table[:stop - start] @ phasor
+    return values
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, dynamics._CHUNK_BLOCKS])
+def test_block_sums_equal_the_per_block_loop(monkeypatch, chunk):
+    """Chunk by chunk, with the whole blocks of a chunk as one stacked product,
+    the block sums keep the bits of one product per block: for line tables
+    with zero weights, for one line, and for grids whose last block is partial
+    (7, 10, 101, 1001, 4097, 76396 samples) or whole (4, 9, 4096)."""
+    monkeypatch.setattr(dynamics, "_CHUNK_BLOCKS", chunk)
+    spectra = [
+        *halves_for(ModelParams(n_photons=100, omega0=1.0, g=1.2, j_tun=0.8)),
+        *harmonic_line_spectra(ModelParams(n_photons=1200, omega0=1.0, j_tun=0.8)),
+        LineSpectrum(energies=[2.5], weights=[1.0]),
+    ]
+    for n in (2, 4, 7, 9, 10, 101, 1001, 4096, 4097, 76396):
+        dt = 0.0237
+        times = np.arange(n) * dt
+        for spec in spectra:
+            centre = 0.5 * (spec.energies[0] + spec.energies[-1]) + 0.1
+            chunks = list(_block_sums(spec.energies, spec.weights, n, dt, centre))
+            block = math.ceil(math.sqrt(n))
+            assert min(part.size for part in chunks) >= block
+            assert np.array_equal(np.concatenate(chunks),
+                                  loop_block_sums(spec.energies, spec.weights, times, centre))
 
 
 @st.composite
