@@ -22,7 +22,7 @@ from .effective import (
     parity_chain_spectra,
     spectra_from_eigen,
 )
-from .entanglement import sample_joint
+from .entanglement import noon_statistics
 from .harmonic import harmonic_amplitudes, harmonic_line_spectra
 from .jc import rabi_amplitudes
 from .rpm import rpm_resolvent, rpm_spectra
@@ -36,11 +36,11 @@ __all__ = [
     "first_transfer_time",
     "harmonic_amplitudes",
     "harmonic_line_spectra",
+    "noon_statistics",
     "parity_chain_spectra",
     "rabi_amplitudes",
     "rpm_resolvent",
     "rpm_spectra",
-    "sample_joint",
     "smoothed_density",
     "spectra_from_eigen",
     "__version__",

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, effective, harmonic, jc, rpm
 from .core import ModelParams, NumericalFailureError, edge_lines, smoothed_density
-from .dynamics import _chunks, default_time_grid, evolve, first_transfer_time
-from .entanglement import JointAccumulator, default_sampling_window
+from .dynamics import default_time_grid, evolve, first_transfer_time
+from .entanglement import default_sampling_window, noon_statistics
 from .validation import run_checks
 
 MODELS = ("jc", "harmonic", "anharmonic-rpm", "anharmonic-oracle")
@@ -416,22 +416,16 @@ def _noon_single(cfg: dict, params: ModelParams):
     t_auto, dt_auto = default_sampling_window(params, lines[0])
     t_max = t_auto if cfg["tmax"] is None else float(cfg["tmax"])
     dt = dt_auto if cfg["dt"] is None else float(cfg["dt"])
-    stats = JointAccumulator(int(cfg["bins"]), cfg["noon_threshold"])
-    # the series are never held whole: each chunk is binned and scored
-    for _, c0, cn in _chunks(*halves, t_max, dt):
-        stats.add(c0, cn)
-    # the time of sample k as the grid arange(n) * dt holds it
-    feasibility = stats.feasibility(stats.best_index * dt)
+    hist, feasibility, (c0_sq, cn_sq) = noon_statistics(
+        *halves, t_max, dt, int(cfg["bins"]), cfg["noon_threshold"])
     _, w00, wn0 = lines
-    return stats.histogram(), {
+    return hist, {
         "summary": {**dataclasses.asdict(feasibility), "t_max": t_max, "dt": dt},
         # the sampled long-time means against the exact ones over distinct
         # energies; they part where the window is short of the slowest beat
         "long_time_means": {
-            "abs_c0_sq": {"sampled": stats.sum_c0_sq / stats.n_samples,
-                          "exact": float(np.sum(w00 * w00))},
-            "abs_cN_sq": {"sampled": stats.sum_cn_sq / stats.n_samples,
-                          "exact": float(np.sum(wn0 * wn0))},
+            "abs_c0_sq": {"sampled": c0_sq, "exact": float(np.sum(w00 * w00))},
+            "abs_cN_sq": {"sampled": cn_sq, "exact": float(np.sum(wn0 * wn0))},
         },
         "diagnostics": {model: _diagnostics(lines)},
     }

@@ -3,7 +3,8 @@
 Sampling the two amplitude moduli over a long time window estimates how
 often the dynamics visits states with appreciable weight on both edge
 Fock states at once, which is the precondition for dynamically forming
-the balanced superposition (|N,0> + |0,N>) / sqrt(2).
+the balanced superposition (|N,0> + |0,N>) / sqrt(2).  :func:`noon_statistics`
+gathers these statistics in one pass over the window, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -13,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AMPLITUDE_BOUND_TOL, AmplitudeSeries, ModelParams, _readonly
+from .core import AMPLITUDE_BOUND_TOL, LineSpectrum, ModelParams, _readonly
+from .dynamics import _chunks
 
 __all__ = [
-    "JointAccumulator",
     "JointHistogram",
     "NoonFeasibility",
-    "sample_joint",
+    "noon_statistics",
     "noon_score",
-    "score_samples",
     "default_sampling_window",
 ]
 
@@ -107,93 +107,64 @@ class NoonFeasibility:
     n_samples: int
 
 
-class JointAccumulator:
-    """Running statistics of the joint moduli ``(|c0|, |cN|)`` of one window,
-    fed its samples chunk by chunk in time order with :meth:`add`.
+def noon_statistics(
+    sym: LineSpectrum,
+    anti: LineSpectrum,
+    t_max: float,
+    dt: float,
+    bins: int = 50,
+    threshold: float = 0.55,
+) -> tuple[JointHistogram, NoonFeasibility, tuple[float, float]]:
+    """Joint histogram, N00N scores and long-time means of the return and
+    transition amplitudes of :func:`~cavity_rpm.dynamics.evolve`'s window.
 
-    It keeps the counts of a ``bins x bins`` histogram over ``[0, 1]^2``
+    The halves are synthesized chunk by chunk, and each chunk is binned and
+    scored and then dropped, so no full-length series exists.  Returns the
+    ``bins x bins`` histogram of ``(|c0|, |cN|)`` over ``[0, 1]^2``
     (``np.histogram2d``'s bins, a modulus of 1 or a few ulp above it in the
-    last one), the best :func:`noon_score` and the index of its earliest
-    sample, the count of scores above ``threshold``, the sample count and the
-    sums of ``|c0|^2`` and ``|cN|^2``.  A whole series fed as one chunk gives
-    :func:`sample_joint` and :func:`score_samples`; any split of it into
-    chunks gives the same histogram and scores.
+    last one), the summary of :func:`noon_score` (the best score, the time of
+    its earliest sample, the fraction above ``threshold``) and the means of
+    ``|c0|^2`` and ``|cN|^2``.  The bin count and the window are checked
+    before any synthesis.
     """
-
-    def __init__(self, bins: int = 50, threshold: float = 0.55):
-        if bins < 2:
-            raise ValueError(f"need at least 2 bins, got {bins}")
-        self.bins = bins
-        self.threshold = threshold
-        # the inner edges of np.histogram2d's bins: a modulus of 1 or above
-        # lies right of all of them, in the last bin
-        self._inner_edges = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-        self._counts = np.zeros(bins * bins, dtype=np.int64)
-        self.n_samples = 0
-        self.best_score = -math.inf
-        self.best_index = 0
-        self.n_above = 0
-        self.sum_c0_sq = 0.0
-        self.sum_cn_sq = 0.0
-
-    def add(self, return_amp, transition_amp):
-        """Take the next samples of the return and transition amplitudes."""
+    if bins < 2:
+        raise ValueError(f"need at least 2 bins, got {bins}")
+    # the inner edges of np.histogram2d's bins: a modulus of 1 or above
+    # lies right of all of them, in the last bin
+    inner_edges = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    counts = np.zeros(bins * bins, dtype=np.int64)
+    n_samples = 0
+    best_score = -math.inf
+    best_index = 0
+    n_above = 0
+    sum_c0_sq = 0.0
+    sum_cn_sq = 0.0
+    for _, return_amp, transition_amp in _chunks(sym, anti, t_max, dt):
         c0 = np.abs(return_amp)
         cn = np.abs(transition_amp)
         scores = noon_score(c0, cn)
-        row = np.searchsorted(self._inner_edges, c0, side="right")
-        row *= self.bins
-        row += np.searchsorted(self._inner_edges, cn, side="right")
-        self._counts += np.bincount(row, minlength=self._counts.size)
+        row = np.searchsorted(inner_edges, c0, side="right")
+        row *= bins
+        row += np.searchsorted(inner_edges, cn, side="right")
+        counts += np.bincount(row, minlength=counts.size)
         best = int(np.argmax(scores))
         # a later chunk takes the lead only with a strictly higher score, so
         # the index stays the earliest of the maximum
-        if scores[best] > self.best_score:
-            self.best_score = float(scores[best])
-            self.best_index = self.n_samples + best
-        self.n_above += int(np.count_nonzero(scores > self.threshold))
-        self.sum_c0_sq += float(np.sum(np.square(c0, out=c0)))
-        self.sum_cn_sq += float(np.sum(np.square(cn, out=cn)))
-        self.n_samples += c0.size
-
-    def histogram(self) -> JointHistogram:
-        """The histogram of the samples taken, normalized to mass one."""
-        return JointHistogram(bins=self._counts.reshape(self.bins, self.bins) / self.n_samples,
-                              n_samples=self.n_samples)
-
-    def feasibility(self, argmax_time: float) -> NoonFeasibility:
-        """The summary of the scores, with ``argmax_time`` the time of sample
-        ``best_index``."""
-        return NoonFeasibility(
-            max_score=self.best_score,
-            argmax_time=argmax_time,
-            fraction_above=self.n_above / self.n_samples,
-            threshold=self.threshold,
-            n_samples=self.n_samples,
-        )
-
-
-def sample_joint(ret: AmplitudeSeries, tra: AmplitudeSeries, bins: int = 50) -> JointHistogram:
-    """Histogram the joint moduli (|return(t)|, |transition(t)|).
-
-    Both series must share the identical time grid.  Mass is normalized to
-    one; the axes are amplitude moduli on [0, 1].
-    """
-    stats = JointAccumulator(bins)
-    if not np.array_equal(ret.times, tra.times):
-        raise ValueError("return and transition series must share one time grid")
-    stats.add(ret.values, tra.values)
-    return stats.histogram()
-
-
-def score_samples(
-    ret: AmplitudeSeries, tra: AmplitudeSeries, threshold: float = 0.55
-) -> NoonFeasibility:
-    """Score every sample with :func:`noon_score` and summarize the window.
-
-    Reports the best score, the earliest time attaining it and the fraction
-    of samples scoring above ``threshold``.
-    """
-    stats = JointAccumulator(threshold=threshold)
-    stats.add(ret.values, tra.values)
-    return stats.feasibility(float(ret.times[stats.best_index]))
+        if scores[best] > best_score:
+            best_score = float(scores[best])
+            best_index = n_samples + best
+        n_above += int(np.count_nonzero(scores > threshold))
+        sum_c0_sq += float(np.sum(np.square(c0, out=c0)))
+        sum_cn_sq += float(np.sum(np.square(cn, out=cn)))
+        n_samples += c0.size
+    histogram = JointHistogram(bins=counts.reshape(bins, bins) / n_samples,
+                               n_samples=n_samples)
+    feasibility = NoonFeasibility(
+        max_score=best_score,
+        # the time of sample k as the grid arange(n) * dt holds it
+        argmax_time=best_index * dt,
+        fraction_above=n_above / n_samples,
+        threshold=threshold,
+        n_samples=n_samples,
+    )
+    return histogram, feasibility, (sum_c0_sq / n_samples, sum_cn_sq / n_samples)

@@ -234,8 +234,7 @@ def test_criterion_6c_first_transfer_time(capsys):
 
 def test_criterion_6d_noon_histogram_mass(capsys):
     start = time.perf_counter()
-    ret, tra = cr.evolve(*chain_halves(FIGURE), 2000.0, 0.01)
-    hist = cr.sample_joint(ret, tra, bins=50)
+    hist, _, _ = cr.noon_statistics(*chain_halves(FIGURE), 2000.0, 0.01, bins=50)
     centers = hist.bin_centers()
     # both edge probabilities above 0.05, i.e. both moduli above sqrt(0.05)
     cut = math.sqrt(0.05)
@@ -243,8 +242,8 @@ def test_criterion_6d_noon_histogram_mass(capsys):
     mass = float(hist.bins[region].sum())
     occupied = int(np.count_nonzero(hist.bins[region]))
     harmonic = cr.ModelParams(n_photons=6, omega0=1.0, g=0.0, j_tun=0.8)
-    hret, htra = cr.evolve(*cr.harmonic_line_spectra(harmonic), 2000.0, 0.01)
-    h_hist = cr.sample_joint(hret, htra, bins=50)
+    h_hist, _, _ = cr.noon_statistics(*cr.harmonic_line_spectra(harmonic), 2000.0, 0.01,
+                                      bins=50)
     h_mass = float(h_hist.bins[region].sum())
     elapsed = time.perf_counter() - start
     passed = occupied >= 1 and mass > 0.0 and h_mass == 0.0

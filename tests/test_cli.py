@@ -272,6 +272,17 @@ def test_noon_refuses_an_oversized_window_before_any_work(tmp_path):
     assert list(tmp_path.glob("*.csv")) == [] and list(tmp_path.glob("*.json")) == []
 
 
+def test_noon_refuses_one_bin_before_any_synthesis(tmp_path):
+    """One bin at the default N=100 window (2,000,030 samples) exits 2 at
+    once with the bin count named, and nothing is written."""
+    start = time.perf_counter()
+    result = invoke("noon", "--bins", 1, "--out", tmp_path)
+    assert time.perf_counter() - start < 5.0
+    assert result.exit_code == 2
+    assert "need at least 2 bins, got 1" in result.output
+    assert list(tmp_path.glob("*.csv")) == [] and list(tmp_path.glob("*.json")) == []
+
+
 def test_noon_sweep_writes_one_file_per_n(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"sweep_n": [2, 4], "tmax": 50.0, "bins": 5}))

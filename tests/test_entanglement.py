@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cavity_rpm import dynamics
-from cavity_rpm.core import AmplitudeSeries, ModelParams, edge_lines
-from cavity_rpm.dynamics import _chunks, evolve
+from cavity_rpm import dynamics, entanglement
+from cavity_rpm.core import ModelParams, edge_lines
+from cavity_rpm.dynamics import evolve
 from cavity_rpm.effective import (
     build_sector_hamiltonian,
     diagonalize,
@@ -16,36 +16,55 @@ from cavity_rpm.effective import (
     spectra_from_eigen,
 )
 from cavity_rpm.entanglement import (
-    JointAccumulator,
     JointHistogram,
     default_sampling_window,
     noon_score,
-    sample_joint,
-    score_samples,
+    noon_statistics,
 )
 from cavity_rpm.harmonic import harmonic_amplitudes, harmonic_line_spectra
 
 
-def constant_series(value, n=100):
-    t = np.arange(n) * 0.1
-    return AmplitudeSeries(times=t, values=np.full(n, value, dtype=complex))
+def reference_histogram(return_amp, transition_amp, bins):
+    """np.histogram2d of the moduli over [0, 1]^2, a modulus above 1 taken
+    as 1, normalized to mass one."""
+    counts, _, _ = np.histogram2d(np.minimum(np.abs(return_amp), 1.0),
+                                  np.minimum(np.abs(transition_amp), 1.0), bins=bins,
+                                  range=[[0.0, 1.0], [0.0, 1.0]])
+    return counts / np.size(return_amp)
 
 
-def test_histogram_of_constant_series_fills_one_bin():
-    hist = sample_joint(constant_series(1.0), constant_series(0.0), bins=10)
+def streamed(monkeypatch, return_amp, transition_amp, chunks=1, dt=0.1, **kwargs):
+    """noon_statistics of the given amplitudes, fed as ``chunks`` consecutive
+    parts of a fake synthesis stream on the grid ``arange(n) * dt``."""
+    return_amp = np.asarray(return_amp, dtype=complex)
+    transition_amp = np.asarray(transition_amp, dtype=complex)
+
+    def stream(sym, anti, t_max, step):
+        for part in np.array_split(np.arange(return_amp.size), chunks):
+            yield int(part[0]), return_amp[part], transition_amp[part]
+
+    monkeypatch.setattr(entanglement, "_chunks", stream)
+    return noon_statistics(None, None, (return_amp.size - 1) * dt, dt, **kwargs)
+
+
+def test_histogram_of_constant_series_fills_one_bin(monkeypatch):
+    hist, _, means = streamed(monkeypatch, np.ones(100), np.zeros(100), chunks=3, bins=10)
     assert hist.bins[9, 0] == 1.0
     assert float(hist.bins.sum()) == 1.0
     assert hist.n_samples == 100
     assert hist.bin_width == 0.1
+    assert means == (1.0, 0.0)
 
 
-def test_histogram_validation():
-    with pytest.raises(ValueError, match="bins"):
-        sample_joint(constant_series(1.0), constant_series(0.0), bins=1)
-    other = constant_series(0.0)
-    shifted = AmplitudeSeries(times=other.times + 0.05, values=other.values)
-    with pytest.raises(ValueError, match="time grid"):
-        sample_joint(constant_series(1.0), shifted)
+def test_histogram_validation(monkeypatch):
+    """Too few bins are refused before any synthesis."""
+
+    def stream(*args):
+        raise AssertionError("synthesis started")
+
+    monkeypatch.setattr(entanglement, "_chunks", stream)
+    with pytest.raises(ValueError, match="need at least 2 bins, got 1"):
+        noon_statistics(None, None, 1.0, 0.1, bins=1)
 
 
 def test_joint_histogram_invariants():
@@ -75,16 +94,15 @@ def test_invariants_reject_nan(make, message):
 
 
 def test_bin_centers():
-    hist = sample_joint(constant_series(0.5), constant_series(0.5), bins=4)
+    hist = JointHistogram(bins=np.full((4, 4), 1.0 / 16.0), n_samples=16)
     np.testing.assert_allclose(hist.bin_centers(), [0.125, 0.375, 0.625, 0.875])
 
 
 def test_harmonic_samples_lie_on_the_unit_circle_of_probability():
     # for N = 2 the moduli satisfy |c0| + |cN| = 1, a straight anti-diagonal
     params = ModelParams(n_photons=2, omega0=1.0, j_tun=0.8)
-    ret, tra = harmonic_amplitudes(params, np.arange(0.0, 200.0, 0.01))
     bins = 20
-    hist = sample_joint(ret, tra, bins=bins)
+    hist, _, _ = noon_statistics(*harmonic_line_spectra(params), 200.0, 0.01, bins=bins)
     mass_near_antidiagonal = sum(
         hist.bins[i, j]
         for i in range(bins)
@@ -141,7 +159,7 @@ def test_default_sampling_window():
 def scan(params, t_max, dt):
     """Scores of the sector's parity-chain dynamics over [0, t_max]."""
     halves = parity_chain_spectra(build_sector_hamiltonian(params))
-    return score_samples(*evolve(*halves, t_max, dt), threshold=0.55)
+    return noon_statistics(*halves, t_max, dt, threshold=0.55)[1]
 
 
 def test_feasibility_of_balanced_beamsplitter_dynamics():
@@ -177,20 +195,19 @@ def test_marginal_second_moment_matches_weights():
 
 
 def test_noon_histogram_from_half_sums_equals_direct_syntheses():
-    """The figure-scale noon histogram (N=100, t_max 150) built from evolve's
-    half sums under one common phase equals, bin for bin, the one from one
+    """The figure-scale noon histogram (N=100, t_max 150) built from the half
+    sums under one common phase equals, bin for bin, the one from one
     synthesis per half, each with its own common phase."""
     params = ModelParams(n_photons=100, omega0=1.0, g=1.2, j_tun=0.8)
     halves = parity_chain_spectra(build_sector_hamiltonian(params))
     _, dt = default_sampling_window(params, edge_lines(*halves)[0])
-    ret, tra = evolve(*halves, 150.0, dt)
     sym, anti = (evolve(half, half, 150.0, dt)[0].values for half in halves)
-    direct = sample_joint(AmplitudeSeries(ret.times, (sym + anti) / 2),
-                          AmplitudeSeries(ret.times, (sym - anti) / 2), bins=50)
-    np.testing.assert_array_equal(sample_joint(ret, tra, bins=50).bins, direct.bins)
+    hist, _, _ = noon_statistics(*halves, 150.0, dt, bins=50)
+    np.testing.assert_array_equal(
+        hist.bins, reference_histogram((sym + anti) / 2, (sym - anti) / 2, 50))
 
 
-def test_accumulated_histogram_bins_as_histogram2d():
+def test_accumulated_histogram_bins_as_histogram2d(monkeypatch):
     """Chunk by chunk, the counts are np.histogram2d's over [0, 1]^2, moduli on
     every bin edge included; a modulus of 1, or a few ulp above it, lands in
     the last bin."""
@@ -199,32 +216,37 @@ def test_accumulated_histogram_bins_as_histogram2d():
     edges = np.linspace(0.0, 1.0, bins + 1)
     c0 = np.concatenate([edges, [1.0 + 1e-12, 1.0], rng.random(500)])
     cn = np.concatenate([edges[::-1], [0.0, 1.0 + 4e-16], rng.random(500)])
-    stats = JointAccumulator(bins)
     # complex amplitudes whose moduli are c0 and cn exactly
-    for part in np.array_split(np.arange(c0.size), 9):
-        stats.add(c0[part] + 0j, -1j * cn[part])
-    counts, _, _ = np.histogram2d(np.minimum(c0, 1.0), np.minimum(cn, 1.0), bins=bins,
-                                  range=[[0.0, 1.0], [0.0, 1.0]])
-    assert np.array_equal(stats.histogram().bins, counts / c0.size)
-    assert stats.n_samples == c0.size
+    hist, _, _ = streamed(monkeypatch, c0 + 0j, -1j * cn, chunks=9, bins=bins)
+    assert np.array_equal(hist.bins, reference_histogram(c0, cn, bins))
+    assert hist.n_samples == c0.size
 
 
-def test_accumulator_keeps_the_earliest_of_scores_tied_across_chunks():
-    stats = JointAccumulator(4)
-    for _ in range(3):
-        stats.add(np.full(5, 0.6 + 0j), np.full(5, 0.3j))
-    assert (stats.best_index, stats.n_samples) == (0, 15)
-    assert stats.feasibility(0.0) == score_samples(constant_series(0.6, 15),
-                                                   constant_series(0.3j, 15))
+def test_scores_tied_across_chunks_keep_the_earliest_sample(monkeypatch):
+    """The best score first reached at sample 2 of the first chunk, and tied
+    at the start of the next two, keeps sample 2, as np.argmax does; a score
+    equal to the threshold is not above it."""
+    c0 = np.array([0.5, 0.2, 0.6, 0.1, 0.6, 0.6, 0.6, 0.6, 0.1, 0.6, 0.6, 0.6, 0.6, 0.1, 0.6])
+    cn = np.full(15, 0.3j)
+    scores = noon_score(c0, cn)
+    threshold = float(scores[0])
+    _, feasibility, _ = streamed(monkeypatch, c0, cn, chunks=3, dt=0.25, threshold=threshold)
+    assert int(np.argmax(scores)) == 2
+    assert feasibility.max_score == float(scores.max())
+    assert feasibility.argmax_time == 0.5
+    assert feasibility.n_samples == 15
+    assert feasibility.fraction_above == np.count_nonzero(scores > threshold) / 15 == 10 / 15
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("source", ["chains", "harmonic"])
 def test_streamed_statistics_equal_those_of_the_series(monkeypatch, source, chunk):
-    """Fed evolve's chunks, the accumulator gives sample_joint's histogram and
-    score_samples' summary of the full series, bit for bit, for chunks of 1, 2
-    and 3 blocks; the 6001 samples form 76 whole blocks of 78 and a partial
-    one, so the last chunk is never a full multiple of the chunk."""
+    """Chunk by chunk, noon_statistics gives the histogram, best score, its
+    earliest time and the count above the threshold of evolve's full series,
+    bit for bit, for chunks of 1, 2 and 3 blocks; the 6001 samples form 76
+    whole blocks of 78 and a partial one, so the last chunk is never a full
+    multiple of the chunk.  The means, summed chunk by chunk, agree to
+    rounding."""
     params = ModelParams(n_photons=12, omega0=1.0, g=1.2 if source == "chains" else 0.0,
                          j_tun=0.8)
     if source == "chains":
@@ -233,19 +255,18 @@ def test_streamed_statistics_equal_those_of_the_series(monkeypatch, source, chun
         halves = harmonic_line_spectra(params)
     t_max, dt = 300.0, 0.05
     ret, tra = evolve(*halves, t_max, dt)
-    hist = sample_joint(ret, tra, bins=20)
-    feasibility = score_samples(ret, tra, threshold=0.55)
+    scores = noon_score(ret.values, tra.values)
     monkeypatch.setattr(dynamics, "_CHUNK_BLOCKS", chunk)
-    stats = JointAccumulator(20, 0.55)
-    for start, c0, cn in _chunks(*halves, t_max, dt):
-        assert start == stats.n_samples
-        stats.add(c0, cn)
-    assert stats.n_samples == 6001
-    np.testing.assert_array_equal(stats.histogram().bins, hist.bins)
-    assert stats.feasibility(stats.best_index * dt) == feasibility
+    hist, feasibility, means = noon_statistics(*halves, t_max, dt, bins=20, threshold=0.55)
+    assert hist.n_samples == feasibility.n_samples == 6001
+    np.testing.assert_array_equal(hist.bins, reference_histogram(ret.values, tra.values, 20))
+    assert feasibility.max_score == float(np.max(scores))
+    assert feasibility.argmax_time == ret.times[np.argmax(scores)]
+    assert feasibility.fraction_above == np.count_nonzero(scores > 0.55) / 6001
+    assert feasibility.threshold == 0.55
     np.testing.assert_allclose(
-        [stats.sum_c0_sq / stats.n_samples, stats.sum_cn_sq / stats.n_samples],
-        [np.mean(np.abs(ret.values) ** 2), np.mean(np.abs(tra.values) ** 2)], rtol=1e-12)
+        means, [np.mean(np.abs(ret.values) ** 2), np.mean(np.abs(tra.values) ** 2)],
+        rtol=1e-12)
 
 
 def test_default_noon_statistics_stream_in_little_memory():
@@ -257,11 +278,9 @@ def test_default_noon_statistics_stream_in_little_memory():
     t_max, dt = default_sampling_window(params, edge_lines(*halves)[0])
     tracemalloc.start()
     try:
-        stats = JointAccumulator(50)
-        for _, c0, cn in _chunks(*halves, t_max, dt):
-            stats.add(c0, cn)
+        hist, _, _ = noon_statistics(*halves, t_max, dt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert stats.n_samples == 2_000_030
+    assert hist.n_samples == 2_000_030
     assert peak < 40e6

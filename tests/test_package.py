@@ -20,11 +20,11 @@ API = {
     "first_transfer_time",
     "harmonic_amplitudes",
     "harmonic_line_spectra",
+    "noon_statistics",
     "parity_chain_spectra",
     "rabi_amplitudes",
     "rpm_resolvent",
     "rpm_spectra",
-    "sample_joint",
     "smoothed_density",
     "spectra_from_eigen",
 }
@@ -47,6 +47,12 @@ def test_namespace_is_the_api_and_version():
     public = {name for name, value in vars(cavity_rpm).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == API
+    # README's library section names every entry, so a rename cannot slip past it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n"):]
+    library = library[:library.find("\n## ", 1)]
+    assert [name for name in cavity_rpm.__all__
+            if name != "__version__" and not re.search(rf"\b{name}\b", library)] == []
 
 
 def test_package_import_leaves_validation_and_cli_unloaded():
