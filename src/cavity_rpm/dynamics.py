@@ -11,7 +11,7 @@ from .core import AmplitudeSeries, LineSpectrum, ModelParams
 __all__ = ["evolve", "first_transfer_time", "default_time_grid"]
 
 TRANSFER_FLOOR = 1e-6
-# blocks of the synthesis evaluated at once, as one stacked matrix product
+# blocks of the synthesis evaluated at once, as one matrix product
 _CHUNK_BLOCKS = 64
 # the largest time grid: 2^30 samples, over 500 times the default noon
 # window, whose chunks of 64 blocks of 2^15 samples still fit in memory
@@ -37,7 +37,7 @@ def _two_product(a: float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a_hi, a_lo = split(np.float64(a))
     b_hi, b_lo = split(b)
     # ((a_hi b_hi - product) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, in this order,
-    # summed in place to keep full-length temporaries few
+    # summed in place to keep temporaries few
     error = a_hi * b_hi
     error -= product
     error += a_hi * b_lo
@@ -72,9 +72,12 @@ def _block_sums(energies: np.ndarray, weights: np.ndarray, n: int, dt: float, ce
     synthesis without the common phase ``exp(-i c t)``.
 
     A chunk holds ``_CHUNK_BLOCKS`` blocks, and the last one also the partial
-    block at the end, so that no chunk is shorter than a block.  Takes any
-    number of lines, none included (the sums are then zero).  Lines of zero
-    weight add nothing and are skipped.
+    block at the end, so that no chunk is shorter than a block.  Each chunk
+    is one matrix product of its phasors, a row per block, with the ``L x B``
+    table; the partial block rides in the last product and is cut to its
+    samples.  A row's last bits depend on the row count of its product.
+    Takes any number of lines, none included (the sums are then zero).
+    Lines of zero weight add nothing and are skipped.
     """
     reached = weights != 0
     energies, weights = energies[reached], weights[reached]
@@ -83,7 +86,7 @@ def _block_sums(energies: np.ndarray, weights: np.ndarray, n: int, dt: float, ce
     # bit: the written series carry its rounding
     offsets = np.arange(block) * ((n - 1) * dt / (n - 1))
     shifted = energies - centre
-    table = np.exp(-1j * np.outer(offsets, shifted))
+    table = np.exp(-1j * np.outer(shifted, offsets))
     complete = n // block
     for first in range(0, complete, _CHUNK_BLOCKS):
         last = first + _CHUNK_BLOCKS
@@ -91,17 +94,7 @@ def _block_sums(energies: np.ndarray, weights: np.ndarray, n: int, dt: float, ce
         # phasors at each block's own first time k dt, as arange(n) * dt gives it
         starts = np.arange(first * block, stop, block)
         phasors = weights * np.exp(-1j * np.outer(starts * dt, shifted))
-        values = np.empty(stop - first * block, dtype=complex)
-        # one matrix-vector product per whole block, stacked; the partial
-        # block multiplies the table's first rows alone, because a product of
-        # one row rounds otherwise than that row of the whole table
-        whole = min(last, complete) - first
-        np.matmul(table, phasors[:whole, :, None],
-                  out=values[:whole * block].reshape(whole, block, 1))
-        if whole < starts.size:
-            np.matmul(table[:values.size - whole * block], phasors[whole],
-                      out=values[whole * block:])
-        yield values
+        yield (phasors @ table).reshape(-1)[:stop - first * block]
 
 
 def _common_phase(centre: float, times: np.ndarray) -> np.ndarray:
@@ -111,29 +104,26 @@ def _common_phase(centre: float, times: np.ndarray) -> np.ndarray:
     return np.exp(-1j * phase) * (1.0 - 1j * error)
 
 
+def _centre(sym: LineSpectrum, anti: LineSpectrum) -> float:
+    """The centre of the span of the lines of both halves."""
+    return 0.5 * (min(sym.energies[0], anti.energies[0])
+                  + max(sym.energies[-1], anti.energies[-1]))
+
+
 def _chunks(sym: LineSpectrum, anti: LineSpectrum, t_max: float, dt: float):
-    """Yield ``(start, c0, cN)``: :func:`evolve`'s series chunk by chunk in
-    time order, ``c0`` and ``cN`` the samples from index ``start`` on, the
-    same bits as the full series.  Checks the window before any work."""
+    """Yield ``(start, c0, cN)``: the halves ``(S + A)/2`` and ``(S - A)/2``
+    chunk by chunk in time order, from sample ``start`` on, without the
+    common phase ``exp(-i c t)`` of :func:`evolve`'s series, so with their
+    moduli.  Checks the window before any work."""
     n = _sample_count(t_max, dt)
-    lowest = min(sym.energies[0], anti.energies[0])
-    highest = max(sym.energies[-1], anti.energies[-1])
-    centre = 0.5 * (lowest + highest)
+    centre = _centre(sym, anti)
     start = 0
-    for plus, minus in zip(*(_block_sums(s.energies, s.weights, n, dt, centre)
+    # halving the weights halves the sums, exactly above the subnormal range
+    for plus, minus in zip(*(_block_sums(s.energies, 0.5 * s.weights, n, dt, centre)
                              for s in (sym, anti))):
-        stop = start + plus.size
-        # c0 = (S + A)/2 P and cN = (S - A)/2 P; halving P instead is exact.
-        # A chunk spans two samples or more: NumPy multiplies a single complex
-        # in place without the fused products of its array loop
-        phase = _common_phase(centre, np.arange(start, stop) * dt)
-        phase *= 0.5
         c0 = plus + minus
-        cn = np.subtract(plus, minus, out=plus)
-        c0 *= phase
-        cn *= phase
-        yield start, c0, cn
-        start = stop
+        yield start, c0, np.subtract(plus, minus, out=plus)
+        start += c0.size
 
 
 def evolve(
@@ -155,12 +145,14 @@ def evolve(
     every block; each block multiplies it by its own phasors
     ``w_j exp(-i (E_j - c) t_b)``, taken directly at the block's first time
     ``t_b`` so that no rounding carries from one block to the next.  The
-    common phase ``exp(-i c t)`` is computed once for the two series, with
+    blocks are evaluated a chunk of ``_CHUNK_BLOCKS`` at a time, one matrix
+    product per chunk.  The common phase ``exp(-i c t)`` is applied chunk by
+    chunk, once for the two series, as the chunks are copied into them, with
     ``c t`` carried to twice working precision so that it adds no error
-    shared by all lines.  That is about ``2 sqrt(n) L + n`` complex
-    exponentials for L lines of nonzero weight, instead of ``n L``.  The
-    blocks are evaluated a chunk of ``_CHUNK_BLOCKS`` at a time, so that
-    apart from the two series the memory is O(sqrt(n) L).
+    shared by all lines; it costs one exponential and one two-product per
+    sample.  That is about ``2 sqrt(n) L + n`` complex exponentials for L
+    lines of nonzero weight, instead of ``n L``, and apart from the two
+    series the memory is O(sqrt(n) L).
 
     Accuracy: each line's phase is rounded about as often as in the direct
     sum ``exp(-1j * np.outer(t, E)) @ w``, and the two agree to within
@@ -170,11 +162,16 @@ def evolve(
     """
     n = _sample_count(t_max, dt)
     times = np.arange(n) * dt
+    centre = _centre(sym, anti)
     c0 = np.empty(n, dtype=complex)
     cn = np.empty(n, dtype=complex)
     for start, c0_part, cn_part in _chunks(sym, anti, t_max, dt):
-        c0[start:start + c0_part.size] = c0_part
-        cn[start:start + cn_part.size] = cn_part
+        stop = start + c0_part.size
+        # a chunk spans two samples or more: NumPy multiplies a single
+        # complex without the fused products of its array loop
+        phase = _common_phase(centre, times[start:stop])
+        np.multiply(c0_part, phase, out=c0[start:stop])
+        np.multiply(cn_part, phase, out=cn[start:stop])
     # frozen, owned buffers: the series keep them without a copy
     for owned in (times, c0, cn):
         owned.flags.writeable = False

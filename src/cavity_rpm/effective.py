@@ -79,11 +79,6 @@ class SectorHamiltonian:
     def n_photons(self) -> int:
         return self.diag.size - 1
 
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        m += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-        return m
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:

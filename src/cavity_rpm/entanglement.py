@@ -4,7 +4,9 @@ Sampling the two amplitude moduli over a long time window estimates how
 often the dynamics visits states with appreciable weight on both edge
 Fock states at once, which is the precondition for dynamically forming
 the balanced superposition (|N,0> + |0,N>) / sqrt(2).  :func:`noon_statistics`
-gathers these statistics in one pass over the window, chunk by chunk.
+gathers these statistics in one pass over the window, chunk by chunk.  The
+moduli need no common phase, so the pass makes about ``2 sqrt(n) L`` complex
+exponentials for n samples of L lines, and none per sample.
 """
 
 from __future__ import annotations
@@ -118,8 +120,10 @@ def noon_statistics(
     """Joint histogram, N00N scores and long-time means of the return and
     transition amplitudes of :func:`~cavity_rpm.dynamics.evolve`'s window.
 
-    The halves are synthesized chunk by chunk, and each chunk is binned and
-    scored and then dropped, so no full-length series exists.  Returns the
+    The halves are synthesized chunk by chunk without the common phase
+    ``exp(-i c t)``, which leaves the moduli as they are, and each chunk is
+    binned and scored and then dropped, so no full-length series exists and
+    no exponential is taken per sample.  Returns the
     ``bins x bins`` histogram of ``(|c0|, |cN|)`` over ``[0, 1]^2``
     (``np.histogram2d``'s bins, a modulus of 1 or a few ulp above it in the
     last one), the summary of :func:`noon_score` (the best score, the time of

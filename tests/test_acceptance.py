@@ -17,6 +17,8 @@ import scipy.linalg
 import cavity_rpm as cr
 from cavity_rpm.core import LineSpectrum
 
+from sector_matrix import dense
+
 RUNTIMES: dict[str, float] = {}
 
 
@@ -92,7 +94,7 @@ def test_criterion_3_recursion_matches_dense_resolvent(capsys):
             (0.0, 0.5, 1.2), (0.4, 0.8), (1, -1), (0.0, 1.0)):
         for n in range(2, 21, 2):
             params = cr.ModelParams(n_photons=n, omega0=omega0, g=g, j_tun=j, sigma=sigma)
-            h = cr.build_sector_hamiltonian(params).dense()
+            h = dense(cr.build_sector_hamiltonian(params))
             lo, hi = float(np.min(h)), float(np.max(np.diagonal(h)))
             re = rng.uniform(lo - 2.0, hi + 2.0, 50)
             im = rng.uniform(0.05, 2.0, 50) * rng.choice([-1.0, 1.0], 50)
@@ -197,7 +199,7 @@ def test_criterion_6b_early_return_revival(capsys):
     t_peak = float(t[hits[0]])
     height = float(mag[hits[0]])
     # the same amplitude by an independent route: dense propagator of the sector
-    h = cr.build_sector_hamiltonian(params).dense()
+    h = dense(cr.build_sector_hamiltonian(params))
     route_gap = abs(scipy.linalg.expm(-1j * t_peak * h)[0, 0] - amp[hits[0]])
     shift = t_peak - half_period
     ratio = shift / delay_cl

@@ -137,7 +137,7 @@ def test_evolve_input_validation():
 def loop_block_sums(energies, weights, times, centre):
     """The block synthesis with one matrix-vector product per block, in a
     Python loop over all blocks of the full grid ``times``: the reference that
-    the chunked, stacked products must reproduce bit for bit."""
+    the chunked matrix products must reproduce to rounding."""
     reached = weights != 0
     energies, weights = energies[reached], weights[reached]
     n = times.size
@@ -155,10 +155,13 @@ def loop_block_sums(energies, weights, times, centre):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, dynamics._CHUNK_BLOCKS])
 def test_block_sums_equal_the_per_block_loop(monkeypatch, chunk):
-    """Chunk by chunk, with the whole blocks of a chunk as one stacked product,
-    the block sums keep the bits of one product per block: for line tables
-    with zero weights, for one line, and for grids whose last block is partial
-    (7, 10, 101, 1001, 4097, 76396 samples) or whole (4, 9, 4096)."""
+    """Chunk by chunk, each chunk one matrix product, the block sums agree
+    with one product per block to ``8 eps sum|w|``: for line tables with zero
+    weights, for one line, and for grids whose last block is partial (7, 10,
+    101, 1001, 4097, 76396 samples) or whole (4, 9, 4096).  The two sum the
+    lines in other orders (measured: up to 5.0 eps sum|w|, on the 601 lines
+    of the harmonic half), and a row's bits depend on the row count of its
+    product, so they cannot agree bit for bit."""
     monkeypatch.setattr(dynamics, "_CHUNK_BLOCKS", chunk)
     spectra = [
         *halves_for(ModelParams(n_photons=100, omega0=1.0, g=1.2, j_tun=0.8)),
@@ -173,8 +176,9 @@ def test_block_sums_equal_the_per_block_loop(monkeypatch, chunk):
             chunks = list(_block_sums(spec.energies, spec.weights, n, dt, centre))
             block = math.ceil(math.sqrt(n))
             assert min(part.size for part in chunks) >= block
-            assert np.array_equal(np.concatenate(chunks),
-                                  loop_block_sums(spec.energies, spec.weights, times, centre))
+            reference = loop_block_sums(spec.energies, spec.weights, times, centre)
+            assert np.max(np.abs(np.concatenate(chunks) - reference)) <= (
+                8 * np.finfo(float).eps * np.sum(np.abs(spec.weights)))
 
 
 @st.composite

@@ -26,6 +26,8 @@ from cavity_rpm.effective import (
 )
 from cavity_rpm.harmonic import harmonic_line_spectra
 
+from sector_matrix import dense
+
 
 def fock_sector_oracle(params):
     """Sector matrix assembled from explicit two-mode Fock-space operators.
@@ -57,14 +59,14 @@ def fock_sector_oracle(params):
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
 def test_sector_matrix_matches_fock_oracle(n):
     params = ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=0.8, sigma=-1)
-    built = build_sector_hamiltonian(params).dense()
+    built = dense(build_sector_hamiltonian(params))
     np.testing.assert_allclose(built, fock_sector_oracle(params), atol=1e-12)
 
 
 def test_single_photon_sector():
     params = ModelParams(n_photons=1, omega0=0.0, g=0.0, j_tun=0.7)
     h = build_sector_hamiltonian(params)
-    np.testing.assert_array_equal(h.dense(), [[0.0, -0.7], [-0.7, 0.0]])
+    np.testing.assert_array_equal(dense(h), [[0.0, -0.7], [-0.7, 0.0]])
 
 
 def test_two_photon_diagonal():
@@ -122,7 +124,7 @@ def test_eigensystem_quality():
     v = decomp.vectors
     gram = v.T @ v
     np.testing.assert_allclose(gram, np.eye(21), atol=1e-10)
-    residual = h.dense() @ v - v * decomp.energies[None, :]
+    residual = dense(h) @ v - v * decomp.energies[None, :]
     scale = float(np.max(np.abs(decomp.energies)))
     assert float(np.max(np.abs(residual))) <= 1e-9 * scale
 
@@ -153,7 +155,7 @@ def test_eigenvalues_match_dense_solver():
         h = build_sector_hamiltonian(params)
         decomp = diagonalize(h)
         np.testing.assert_allclose(
-            decomp.energies, np.linalg.eigvalsh(h.dense()), atol=1e-10)
+            decomp.energies, np.linalg.eigvalsh(dense(h)), atol=1e-10)
 
 
 def test_zero_tunneling_pairs_levels():
@@ -264,7 +266,7 @@ def test_parity_chains_resolve_doublets_the_dense_vectors_mix():
     params = ModelParams(n_photons=18, omega0=0.0, g=-0.2, j_tun=0.03, sigma=1)
     h = build_sector_hamiltonian(params)
     with mpmath.workdps(40):
-        a = mpmath.matrix(h.dense().tolist())
+        a = mpmath.matrix(dense(h).tolist())
         energies, vectors = mpmath.eigsy(a)
         # ascending and unmerged, as the tables of both routes are here
         assert all(lo < hi for lo, hi in zip(energies, energies[1:]))

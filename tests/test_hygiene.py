@@ -1,7 +1,7 @@
 """Hygiene of the package sources, checked on their syntax trees: imports,
-``__all__`` entries, a caller for every public definition, a reader for
-every module-level constant, and a reader for every config key of the
-command line."""
+``__all__`` entries, a caller for every public definition, method and
+property, a reader for every module-level constant, and a reader for every
+config key of the command line."""
 
 import ast
 import re
@@ -83,16 +83,33 @@ def _outside_text():
     return "\n".join(p.read_text(encoding="utf-8") for p in paths)
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _public_definitions(tree):
+    """``(qualified name, name, pattern)`` of each public function and class
+    at the top level of a module and of each public method and property of
+    its classes.  The pattern finds a caller in README or the benchmark: the
+    bare name for a top-level definition, an attribute ``.name`` for a
+    method, since prose uses words such as "dense" freely."""
+    for node in tree.body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, rf"\b{node.name}\b"
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, _FUNCTIONS) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name, rf"\.{member.name}\b"
+
+
 def test_every_public_definition_has_a_caller():
-    """A public function or class that only its own tests call is dead code."""
+    """A public function, class, method or property that only its own tests
+    call is dead code."""
     references = _references()
     text = _outside_text()
     unused = [
-        f"{path.stem}.{node.name}" for path in MODULES for node in _tree(path).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in references
-        and not re.search(rf"\b{node.name}\b", text)
+        f"{path.stem}.{qualified}" for path in MODULES
+        for qualified, name, pattern in _public_definitions(_tree(path))
+        if name not in references and not re.search(pattern, text)
     ]
     assert unused == []
 

@@ -29,9 +29,11 @@ from cavity_rpm.rpm import (
     rpm_walk,
 )
 
+from sector_matrix import dense
+
 
 def dense_edge_elements(params, z):
-    h = build_sector_hamiltonian(params).dense()
+    h = dense(build_sector_hamiltonian(params))
     n = params.n_photons
     x = np.linalg.solve(z * np.eye(n + 1) - h, np.eye(n + 1)[:, 0])
     return x[0], x[n]
@@ -228,7 +230,7 @@ def test_multi_point_walk_ends_in_the_grid_resolvent_bit_for_bit():
 
 def test_walk_matches_dense_central_blocks_at_every_depth():
     params = ModelParams(n_photons=14, omega0=1.0, g=-0.7, j_tun=0.6, sigma=1)
-    h = build_sector_hamiltonian(params).dense()
+    h = dense(build_sector_hamiltonian(params))
     m = params.n_photons // 2
     z = 12.0 - 0.4j
     walk = list(rpm_walk(params, z))
@@ -299,7 +301,7 @@ def _params_and_points(draw):
         j_tun=draw(st.floats(0.05, 1.5)),
         sigma=draw(st.sampled_from([1, -1])),
     )
-    levels = np.linalg.eigvalsh(build_sector_hamiltonian(params).dense())
+    levels = np.linalg.eigvalsh(dense(build_sector_hamiltonian(params)))
     z = [
         draw(st.floats(levels[0] - 1.0, levels[-1] + 1.0))
         + 1j * draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([1, -1]))
