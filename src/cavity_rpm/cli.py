@@ -19,6 +19,7 @@ import math
 import numbers
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -29,7 +30,25 @@ from .dynamics import default_time_grid, evolve, first_transfer_time
 from .entanglement import default_sampling_window, noon_statistics
 from .validation import run_checks
 
-MODELS = ("jc", "harmonic", "anharmonic-rpm", "anharmonic-oracle")
+
+class _Model(NamedTuple):
+    """All the command line knows of a model: its line spectra, None where it
+    has recursion densities only, and whether it is a two-cavity sector model,
+    whose matrix sets its default energy grid (``noon`` takes those with lines)."""
+    lines: Callable | None
+    sector: bool
+
+
+# each entry calls the library through its module at run time, so that a
+# function replaced on the module (a tracing span, a test) is the one run
+MODELS = {
+    "jc": _Model(lambda params: jc.rabi_line_spectra(params), sector=False),
+    "harmonic": _Model(lambda params: harmonic.harmonic_line_spectra(params), sector=True),
+    "anharmonic-rpm": _Model(None, sector=True),
+    # the parity chains, not the dense oracle they are checked against
+    "anharmonic-oracle": _Model(lambda params: effective.parity_chain_spectra(
+        effective.build_sector_hamiltonian(params)), sector=True),
+}
 
 # dynamics CSV columns per model, after an optional "harmonic_" prefix
 AMPLITUDE_SUFFIXES = (
@@ -160,17 +179,25 @@ def _sidecar(command: str, cfg: dict, extra: dict | None = None) -> dict:
     return payload
 
 
+def _require(model: str, test, message: str):
+    """Refuse ``model`` unless ``test`` passes its entry, naming those it passes."""
+    if not test(MODELS[model]):
+        *rest, last = [name for name, entry in MODELS.items() if test(entry)]
+        raise ValueError(message.format(f"{', '.join(rest)} or {last}" if rest else last))
+
+
 def _line_spectra(model: str, params: ModelParams):
-    if model == "jc":
-        return jc.rabi_line_spectra(params)
-    if model == "harmonic":
-        return harmonic.harmonic_line_spectra(params)
-    if model == "anharmonic-oracle":
-        return effective.parity_chain_spectra(effective.build_sector_hamiltonian(params))
-    raise ValueError(
-        f"model {model!r} provides no line spectrum; it evaluates broadened "
-        "densities only (set epsilon)"
-    )
+    if MODELS[model].lines is None:
+        raise ValueError(f"model {model!r} provides no line spectrum; it evaluates "
+                         "broadened densities only (set epsilon)")
+    return MODELS[model].lines(params)
+
+
+def _densities(model: str, params: ModelParams, grid: np.ndarray, epsilon: float):
+    """``(rho00, rhoN0)``: the recursion's for a model without lines, else its lines'."""
+    if MODELS[model].lines is None:
+        return rpm.rpm_spectra(params, grid, epsilon)
+    return smoothed_density(*_line_spectra(model, params), grid, epsilon)
 
 
 def _diagnostics(lines) -> dict:
@@ -193,20 +220,8 @@ def _density_diagnostics(rhon0) -> dict:
     return {"points": int(rhon0.size), "zero_cross_points": int(zeros)}
 
 
-def _default_energy_bounds(model: str, params: ModelParams, epsilon: float):
-    if model == "jc":
-        energies, _, _ = edge_lines(*_line_spectra(model, params))
-        lo, hi = float(energies[0]), float(energies[-1])
-    else:
-        h = effective.build_sector_hamiltonian(params)
-        reach = 2.0 * float(np.max(np.abs(h.offdiag), initial=0.0))
-        lo = float(np.min(h.diag)) - reach
-        hi = float(np.max(h.diag)) + reach
-    pad = max(1.0, 5.0 * epsilon)
-    return lo - pad, hi + pad
-
-
-def _energy_grid(cfg: dict, params: ModelParams) -> np.ndarray:
+def _energy_grid(cfg: dict, params: ModelParams, model: str) -> np.ndarray:
+    """``grid``, or the span of the sector matrix or else of the lines, padded."""
     points = int(cfg["points"])
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
@@ -218,16 +233,18 @@ def _energy_grid(cfg: dict, params: ModelParams) -> np.ndarray:
         if not hi > lo:
             raise ValueError(f"grid upper bound must exceed lower bound, got {bounds}")
     else:
-        lo, hi = _default_energy_bounds(cfg["model"], params, cfg["epsilon"])
+        if MODELS[model].sector:
+            h = effective.build_sector_hamiltonian(params)
+            reach = 2.0 * float(np.max(np.abs(h.offdiag), initial=0.0))
+            lo, hi = float(np.min(h.diag)) - reach, float(np.max(h.diag)) + reach
+        else:
+            energies, _, _ = edge_lines(*_line_spectra(model, params))
+            lo, hi = float(energies[0]), float(energies[-1])
+        pad = max(1.0, 5.0 * cfg["epsilon"])
+        lo, hi = lo - pad, hi + pad
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid bounds must be finite, got [{lo}, {hi}]")
     return np.linspace(lo, hi, points)
-
-
-def _smoothed_pair(model: str, params: ModelParams, grid: np.ndarray, epsilon: float):
-    if model == "anharmonic-rpm":
-        return rpm.rpm_spectra(params, grid, epsilon)
-    return smoothed_density(*_line_spectra(model, params), grid, epsilon)
 
 
 def _out_dir(out: str) -> Path:
@@ -297,9 +314,10 @@ def spectrum(config_path, out, compare, **flag_values):
     if compare:
         if cfg["epsilon"] is None:
             raise ValueError("--compare needs epsilon to evaluate densities")
-        grid = _energy_grid({**cfg, "model": "anharmonic-rpm"}, params)
-        r00, rn0 = _smoothed_pair("anharmonic-rpm", params, grid, cfg["epsilon"])
-        o00, on0 = _smoothed_pair("anharmonic-oracle", params, grid, cfg["epsilon"])
+        # the recursion against the parity chains, whatever the model
+        grid = _energy_grid(cfg, params, "anharmonic-rpm")
+        r00, rn0 = _densities("anharmonic-rpm", params, grid, cfg["epsilon"])
+        o00, on0 = _densities("anharmonic-oracle", params, grid, cfg["epsilon"])
         csv_path = out_path / "spectrum_compare.csv"
         _write_csv(csv_path, [
             ("energy", grid),
@@ -317,21 +335,18 @@ def spectrum(config_path, out, compare, **flag_values):
         }))
         click.echo(f"wrote {csv_path}")
         return
-    extra = None
+    model, extra = cfg["model"], None
+    csv_path = out_path / f"spectrum_{model}.csv"
     if cfg["epsilon"] is None:
-        lines = edge_lines(*_line_spectra(cfg["model"], params))
-        csv_path = out_path / f"spectrum_{cfg['model']}.csv"
+        lines = edge_lines(*_line_spectra(model, params))
         _write_csv(csv_path, list(zip(("energy", "weight00", "weightN0"), lines)))
-        extra = {"diagnostics": {cfg["model"]: _diagnostics(lines)}}
+        extra = {"diagnostics": {model: _diagnostics(lines)}}
     else:
-        grid = _energy_grid(cfg, params)
-        rho00, rhon0 = _smoothed_pair(cfg["model"], params, grid, cfg["epsilon"])
-        csv_path = out_path / f"spectrum_{cfg['model']}.csv"
-        _write_csv(csv_path, [
-            ("energy", grid), ("rho00", rho00), ("rhoN0", rhon0),
-        ])
-        if cfg["model"] == "anharmonic-rpm":
-            extra = {"diagnostics": {"anharmonic-rpm": _density_diagnostics(rhon0)}}
+        grid = _energy_grid(cfg, params, model)
+        rho00, rhon0 = _densities(model, params, grid, cfg["epsilon"])
+        _write_csv(csv_path, [("energy", grid), ("rho00", rho00), ("rhoN0", rhon0)])
+        if MODELS[model].lines is None:
+            extra = {"diagnostics": {model: _density_diagnostics(rhon0)}}
     _write_json(csv_path.with_suffix(".json"), _sidecar("spectrum", cfg, extra))
     click.echo(f"wrote {csv_path}")
 
@@ -355,11 +370,8 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
     """Write return and transition amplitude time series."""
     cfg = _resolve(config_path, flag_values)
     params = _params(cfg)
-    if cfg["model"] == "anharmonic-rpm":
-        raise ValueError(
-            "dynamics needs a line-resolved model "
-            "(jc, harmonic or anharmonic-oracle)"
-        )
+    _require(cfg["model"], lambda m: m.lines is not None,
+             "dynamics needs a line-resolved model ({})")
     out_path = _out_dir(out)
     t_default, dt_default = default_time_grid(params)
     t_max = t_default if cfg["tmax"] is None else float(cfg["tmax"])
@@ -371,10 +383,11 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
     if first_transfer and t_max == 0:
         raise ValueError("first-transfer needs a non-empty time window")
     models = [cfg["model"]]
+    # the harmonic baseline, whatever the model
     if compare and cfg["model"] != "harmonic":
         models.append("harmonic")
     csv_path = out_path / f"dynamics_{cfg['model']}.csv"
-    prefixes = {m: "" if m == cfg["model"] else "harmonic_" for m in models}
+    prefixes = dict(zip(models, ("", "harmonic_")))
     transfer: dict[str, float | None] = {}
     diagnostics: dict[str, dict] = {}
     if t_max == 0:
@@ -406,11 +419,8 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
 
 def _noon_single(cfg: dict, params: ModelParams):
     model = cfg["model"]
-    if model not in ("harmonic", "anharmonic-oracle"):
-        raise ValueError(
-            "noon statistics need sector line spectra; "
-            "use model harmonic or anharmonic-oracle"
-        )
+    _require(model, lambda m: m.sector and m.lines is not None,
+             "noon statistics need sector line spectra; use model {}")
     halves = _line_spectra(model, params)
     lines = edge_lines(*halves)
     t_auto, dt_auto = default_sampling_window(params, lines[0])
@@ -440,14 +450,9 @@ def _write_noon(out_path: Path, cfg: dict, suffix: str, hist, extra: dict):
     _write_csv(csv_path, [
         ("c0_center", c0), ("cN_center", cn), ("mass", hist.bins.ravel()),
     ])
-    metadata = {
-        "axes": "moduli",
-        "bins": hist.size,
-        "bin_width": hist.bin_width,
-    }
-    _write_json(csv_path.with_suffix(".json"), _sidecar("noon", cfg, {
-        **extra, "metadata": metadata,
-    }))
+    metadata = {"axes": "moduli", "bins": hist.size, "bin_width": hist.bin_width}
+    _write_json(csv_path.with_suffix(".json"),
+                _sidecar("noon", cfg, {**extra, "metadata": metadata}))
     return csv_path
 
 
@@ -459,18 +464,13 @@ def noon(config_path, out, **flag_values):
     cfg = _resolve(config_path, flag_values)
     out_path = _out_dir(out)
     sweep = cfg["sweep_n"]
-    if sweep is None:
-        params = _params(cfg)
-        csv_path = _write_noon(out_path, cfg, "", *_noon_single(cfg, params))
-        click.echo(f"wrote {csv_path}")
-        return
-    if not sweep:
+    if sweep == []:
         raise ValueError("sweep_n must be a non-empty list of photon numbers")
-    cfgs = [{**cfg, "N": int(n), "sweep_n": None} for n in sweep]
+    cfgs = [cfg] if sweep is None else [{**cfg, "N": int(n), "sweep_n": None} for n in sweep]
     results = [_noon_single(c, _params(c)) for c in cfgs]
     for sub_cfg, result in zip(cfgs, results):
-        csv_path = _write_noon(out_path, sub_cfg, f"_N{sub_cfg['N']}", *result)
-        click.echo(f"wrote {csv_path}")
+        suffix = "" if sweep is None else f"_N{sub_cfg['N']}"
+        click.echo(f"wrote {_write_noon(out_path, sub_cfg, suffix, *result)}")
 
 
 @main.command()

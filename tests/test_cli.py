@@ -12,8 +12,10 @@ import pytest
 from click.testing import CliRunner
 
 import cavity_rpm
-from cavity_rpm import cli, rpm, validation
+from cavity_rpm import cli, effective, harmonic, jc, rpm, validation
 from cavity_rpm.cli import DEFAULTS, main
+from cavity_rpm.core import LineSpectrum, ModelParams
+from cavity_rpm.dynamics import evolve
 from cavity_rpm.validation import CheckResult
 
 
@@ -102,12 +104,6 @@ def test_rpm_density_counts_underflowed_cross_points(tmp_path):
     assert zeros > 0
     assert sidecar["diagnostics"] == {
         "anharmonic-rpm": {"points": 401, "zero_cross_points": zeros}}
-
-
-def test_spectrum_rpm_requires_epsilon(tmp_path):
-    result = invoke("spectrum", "--model", "anharmonic-rpm", "--N", 4, "--out", tmp_path)
-    assert result.exit_code == 2
-    assert "epsilon" in result.output
 
 
 def test_dynamics_with_first_transfer(tmp_path):
@@ -215,12 +211,6 @@ def test_dynamics_empty_window_writes_header_only(tmp_path):
     content = (tmp_path / "dynamics_harmonic.csv").read_text().splitlines()
     assert len(content) == 1
     assert content[0].startswith("t,return_re")
-
-
-def test_dynamics_rejects_density_only_model(tmp_path):
-    result = invoke("dynamics", "--model", "anharmonic-rpm", "--N", 4, "--out", tmp_path)
-    assert result.exit_code == 2
-    assert "line-resolved" in result.output
 
 
 def test_noon_summary_and_histogram(tmp_path):
@@ -445,12 +435,6 @@ def test_unknown_config_key_rejected(tmp_path):
     assert "modle" in result.output
 
 
-def test_unknown_model_rejected(tmp_path):
-    result = invoke("spectrum", "--model", "bogus", "--out", tmp_path)
-    assert result.exit_code == 2
-    assert "model" in result.output
-
-
 def test_near_pole_evaluation_exits_3(tmp_path):
     config = tmp_path / "pole.json"
     config.write_text(json.dumps({"grid": [2.0, 2.001], "points": 2}))
@@ -517,6 +501,103 @@ def test_overflowing_line_energy_exits_2_with_only_the_error_line(tmp_path, args
     assert probe.returncode == 2
     assert probe.stderr.splitlines() == [f"error: {message}"]
     assert list(out.iterdir()) == []
+
+
+LINE_MODELS = "jc, harmonic or anharmonic-oracle"
+NOON_MODELS = "harmonic or anharmonic-oracle"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("dynamics", "--model", "anharmonic-rpm"),
+     f"dynamics needs a line-resolved model ({LINE_MODELS})"),
+    (("dynamics", "--model", "anharmonic-rpm", "--tmax", "0"),
+     f"dynamics needs a line-resolved model ({LINE_MODELS})"),
+    (("noon", "--model", "jc"),
+     f"noon statistics need sector line spectra; use model {NOON_MODELS}"),
+    (("noon", "--model", "anharmonic-rpm"),
+     f"noon statistics need sector line spectra; use model {NOON_MODELS}"),
+    (("spectrum", "--model", "anharmonic-rpm"),
+     "model 'anharmonic-rpm' provides no line spectrum; it evaluates broadened densities "
+     "only (set epsilon)"),
+    (("spectrum", "--model", "bogus"),
+     "model must be one of jc, harmonic, anharmonic-rpm, anharmonic-oracle, got 'bogus'"),
+], ids=["dynamics-rpm", "dynamics-rpm-tmax-0", "noon-jc", "noon-rpm", "spectrum-rpm-lines",
+        "spectrum-bogus"])
+def test_model_refusal_exits_2_with_only_its_error_line(tmp_path, args, message):
+    """Each command refuses a model that its route cannot take before any
+    work, with the models it takes listed in table order, and writes nothing."""
+    out = tmp_path / "out"
+    probe = run_python("-m", "cavity_rpm.cli", *args, "--N", "4", "--out", str(out))
+    assert probe.returncode == 2
+    assert probe.stderr.splitlines() == [f"error: {message}"]
+    assert probe.stdout == ""
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def stub_halves(params):
+    """A stand-in model: two lines in the symmetric half, one in the other."""
+    centre = params.omega0 * params.n_photons
+    return LineSpectrum([centre - 1, centre + 1], [0.5, 0.5]), LineSpectrum([centre], [1.0])
+
+
+def test_a_new_model_needs_only_its_table_entry(tmp_path, monkeypatch):
+    """A model registered in the table alone runs every route its entry
+    allows, and each refusal names it where it belongs."""
+    monkeypatch.setitem(cli.MODELS, "stub", cli._Model(stub_halves, sector=False))
+    common = ("--model", "stub", "--N", 4, "--omega0", 1)
+    result = invoke("spectrum", *common, "--out", tmp_path / "lines")
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "lines" / "spectrum_stub.csv").read_text().splitlines() == [
+        "energy,weight00,weightN0", "3,0.25,0.25", "4,0.5,-0.5", "5,0.25,0.25"]
+
+    # without a sector matrix the default grid spans the lines, padded by 1
+    result = invoke("spectrum", *common, "--epsilon", 0.1, "--out", tmp_path / "densities")
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "densities" / "spectrum_stub.csv").read_text().splitlines()
+    assert (rows[1].split(",")[0], rows[-1].split(",")[0]) == ("2", "6")
+    sidecar = json.loads((tmp_path / "densities" / "spectrum_stub.json").read_text())
+    assert "diagnostics" not in sidecar
+
+    result = invoke("dynamics", *common, "--tmax", 1, "--dt", 0.5, "--out", tmp_path / "dyn")
+    assert result.exit_code == 0, result.output
+    ret, _ = evolve(*stub_halves(ModelParams(n_photons=4, omega0=1.0)), 1.0, 0.5)
+    rows = (tmp_path / "dyn" / "dynamics_stub.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in rows[1:]] == ["%.17g" % v for v in ret.values.real]
+
+    result = invoke("noon", *common, "--out", tmp_path / "noon")
+    assert result.exit_code == 2
+    assert result.output == (
+        f"error: noon statistics need sector line spectra; use model {NOON_MODELS}\n")
+    result = invoke("dynamics", "--model", "anharmonic-rpm", "--out", tmp_path / "dyn")
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: dynamics needs a line-resolved model (jc, harmonic, anharmonic-oracle or stub)\n")
+
+
+# the library function each model's route runs, as an attribute of its module
+ROUTES = {
+    "jc": (jc, "rabi_line_spectra"),
+    "harmonic": (harmonic, "harmonic_line_spectra"),
+    "anharmonic-oracle": (effective, "parity_chain_spectra"),
+    "anharmonic-rpm": (rpm, "rpm_spectra"),
+}
+
+
+@pytest.mark.parametrize("model", ROUTES)
+def test_each_model_calls_its_route_through_the_module(tmp_path, monkeypatch, model):
+    """The table looks each route up on its module when it runs, so a function
+    replaced there, as the benchmark's tracing spans replace them, is the one
+    called."""
+    calls = dict.fromkeys(ROUTES, 0)
+    for name, (module, attr) in ROUTES.items():
+        def counting(*args, _name=name, _route=getattr(module, attr)):
+            calls[_name] += 1
+            return _route(*args)
+        monkeypatch.setattr(module, attr, counting)
+    epsilon = ("--epsilon", 0.1) if model == "anharmonic-rpm" else ()
+    result = invoke("spectrum", "--model", model, "--N", 4, *epsilon, "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    assert {name for name, count in calls.items() if count} == {model}
 
 
 def test_validate_passes_by_default(tmp_path):
