@@ -200,15 +200,19 @@ def _densities(model: str, params: ModelParams, grid: np.ndarray, epsilon: float
     return smoothed_density(*_line_spectra(model, params), grid, epsilon)
 
 
-def _diagnostics(lines) -> dict:
-    """Deterministic figures of an :func:`edge_lines` table, for the sidecars:
-    its lines, its exact-zero ``weight00`` (underflow, or a line the edge state
-    does not reach) and the departure of their sum from one."""
+def _diagnostics(halves, lines) -> dict:
+    """Deterministic figures of the parity ``halves`` and their
+    :func:`edge_lines` table ``lines``, for the sidecars: the table's lines,
+    its exact-zero ``weight00`` (underflow, or a line the edge state does not
+    reach) and the departure of their sum from one, and that of each half's
+    weights."""
     energies, w00, _ = lines
+    sym, anti = (float(np.sum(half.weights)) - 1.0 for half in halves)
     return {
         "lines": int(energies.size),
         "zero_weight_lines": int(np.count_nonzero(w00 == 0)),
         "weight_sum_defect": float(np.sum(w00)) - 1.0,
+        "half_weight_sum_defects": {"sym": sym, "anti": anti},
     }
 
 
@@ -338,9 +342,10 @@ def spectrum(config_path, out, compare, **flag_values):
     model, extra = cfg["model"], None
     csv_path = out_path / f"spectrum_{model}.csv"
     if cfg["epsilon"] is None:
-        lines = edge_lines(*_line_spectra(model, params))
+        halves = _line_spectra(model, params)
+        lines = edge_lines(*halves)
         _write_csv(csv_path, list(zip(("energy", "weight00", "weightN0"), lines)))
-        extra = {"diagnostics": {model: _diagnostics(lines)}}
+        extra = {"diagnostics": {model: _diagnostics(halves, lines)}}
     else:
         grid = _energy_grid(cfg, params, model)
         rho00, rhon0 = _densities(model, params, grid, cfg["epsilon"])
@@ -397,7 +402,7 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
         columns: list[tuple[str, np.ndarray]] = []
         for model in models:
             halves = _line_spectra(model, params)
-            diagnostics[model] = _diagnostics(edge_lines(*halves))
+            diagnostics[model] = _diagnostics(halves, edge_lines(*halves))
             ret, tra = evolve(*halves, t_max, dt)
             if not columns:
                 columns.append(("t", ret.times))
@@ -437,7 +442,7 @@ def _noon_single(cfg: dict, params: ModelParams):
             "abs_c0_sq": {"sampled": c0_sq, "exact": float(np.sum(w00 * w00))},
             "abs_cN_sq": {"sampled": cn_sq, "exact": float(np.sum(wn0 * wn0))},
         },
-        "diagnostics": {model: _diagnostics(lines)},
+        "diagnostics": {model: _diagnostics(halves, lines)},
     }
 
 

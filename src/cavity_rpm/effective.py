@@ -7,12 +7,14 @@ matrix: a square-root photon interaction on the diagonal and the bosonic
 tunneling amplitudes next to it.
 
 Line spectra come from the two exchange-parity chains of that matrix
-(:func:`parity_chain_spectra`), one per parity half: eigenvalues only, in
-O(N) memory.  The dense eigensolve with eigenvectors (:func:`diagonalize`,
-:func:`spectra_from_eigen`) is the oracle that the chains, and the
-projection recursion, are validated against.  It does not use parity: it
-gives the line table directly, with eigenvalues closer than ``MERGE_RTOL``
-taken as one line, the only tolerance clustering of lines in the package.
+(:func:`parity_chain_spectra`), one per parity half: per chain one
+eigensolve, eigenvalues only, and one pivot sweep for the weights, in
+O(N^2) time and O(N) memory.  The dense eigensolve with eigenvectors
+(:func:`diagonalize`, :func:`spectra_from_eigen`) is the oracle that the
+chains, and the projection recursion, are validated against.  It does not
+use parity: it gives the line table directly, with eigenvalues closer than
+``MERGE_RTOL`` taken as one line, the only tolerance clustering of lines in
+the package.
 """
 
 from __future__ import annotations
@@ -39,8 +41,11 @@ __all__ = [
     "parity_chain_spectra",
 ]
 
-# ratios of the interlacing product evaluated at once: a few 256 kB arrays
-_RATIO_BLOCK = 2**15
+# depths of the pivot sweep between two rescalings of its running products
+_RESCALE_DEPTHS = 8
+# signed floor of an exactly zero pivot, in units of the chain's largest
+# entry: the next pivot, about e^2 / floor, stays within double range too
+_PIVOT_FLOOR = 2.0**-511
 # relative gap below which the dense oracle takes eigenvalues as one level
 MERGE_RTOL = 1e-9
 
@@ -124,14 +129,7 @@ def diagonalize(h: SectorHamiltonian) -> EigenDecomposition:
     NumericalFailureError
         If the tridiagonal eigensolver fails to converge.
     """
-    # imported here: it takes most of the package's import time, and the
-    # recursion and closed-form paths never need it
-    import scipy.linalg
-
-    try:
-        energies, vectors = scipy.linalg.eigh_tridiagonal(h.diag, h.offdiag)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
+    energies, vectors = _eigh_tridiagonal(h.diag, h.offdiag, vectors=True)
     return EigenDecomposition(energies=energies, vectors=vectors)
 
 
@@ -171,58 +169,102 @@ def spectra_from_eigen(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarr
     return _merge_close_levels(decomp.energies, first**2, last * first)
 
 
-def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    if d.size == 0:
-        return d.copy()
-    import scipy.linalg  # imported here for the reason diagonalize gives
+def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, vectors: bool):
+    """Ascending eigenvalues of the symmetric tridiagonal matrix ``(d, e)``,
+    with its eigenvectors as columns if ``vectors``, else ``None``: LAPACK
+    ``dstevd`` called directly, which for eigenvalues only runs ``dsterf``.
 
-    try:
-        return scipy.linalg.eigvalsh_tridiagonal(d, e)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
+    Raises
+    ------
+    NumericalFailureError
+        If the eigensolver fails to converge.
+    """
+    if d.size <= 1:
+        # the wrapper refuses an empty off-diagonal
+        return d.copy(), np.ones((d.size, d.size)) if vectors else None
+    # imported here: it takes most of the package's import time, and the
+    # recursion and closed-form paths never need it
+    from scipy.linalg import lapack
+
+    energies, z, info = lapack.dstevd(d, e, compute_v=int(vectors))
+    if info != 0:
+        raise NumericalFailureError(
+            f"tridiagonal eigensolver failed: LAPACK dstevd info={info}")
+    return energies, z if vectors else None
+
+
+def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return _eigh_tridiagonal(d, e, vectors=False)[0]
+
+
+def _edge_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Squared first components of the eigenvectors of the chain ``(d, e)``
+    at its eigenvalues ``lam``, by Golub & Welsch (1969):
+
+        w_j = prod_i |lam_j - mu_i| / prod_{i != j} |lam_j - lam_i|,
+
+    with ``mu`` the eigenvalues of the chain T' without its first row.  The
+    numerator is |det(T' - lam_j)|, the product of the pivots
+
+        D_k = (d_k - lam_j) - e_{k-1}^2 / D_{k-1},   k = 1 .. n-1,
+
+    of the LDL^T factorization of T' - lam_j: the Sturm sweep of LAPACK's
+    ``dstebz``, run here at every ``lam_j`` at once in O(n) memory.  Pivot k
+    is divided by lam_j - lam_{k-1}, or by lam_{k-1} - lam_{n-1} at
+    j = k - 1, so the n - 1 pivots meet the n - 1 differences one each.
+    """
+    n = lam.size
+    # a power of two brings the largest entry into [1/2, 1): exact, and the
+    # ratios do not depend on it, so no coupling squared leaves double range
+    shift = -math.frexp(max(np.max(np.abs(d)), np.max(np.abs(e))))[1]
+    d = np.ldexp(d, shift).tolist()
+    e2 = np.square(np.ldexp(e, shift)).tolist()
+    x = np.ldexp(lam, shift)
+    xs = x.tolist()
+    weights = np.ones(n)
+    exponents = np.zeros(n, dtype=np.intc)
+    mantissa_exponents = np.empty(n, dtype=np.intc)
+    # D_0 = inf starts the recursion: e_0^2 / inf = 0
+    pivot = np.full(n, np.inf)
+    shifted = np.empty(n)
+    diff = np.empty(n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            np.divide(e2[k - 1], pivot, pivot)
+            np.subtract(d[k], x, shifted)
+            np.subtract(shifted, pivot, pivot)
+            # an exactly zero pivot moves to the signed floor -_PIVOT_FLOOR,
+            # as LAPACK's dlaebz floors its pivots, and would otherwise give
+            # 0 * inf at the next depth; below half an ulp of every pivot
+            # of size 2^-456 or more, the shift leaves those bits unchanged
+            np.subtract(pivot, _PIVOT_FLOOR, pivot)
+            np.subtract(x, xs[k - 1], diff)
+            diff[k - 1] = xs[k - 1] - xs[-1]
+            np.multiply(weights, pivot, weights)
+            np.divide(weights, diff, weights)
+            if k % _RESCALE_DEPTHS == 0:
+                # mantissas in [1/2, 1), exponents apart: the running
+                # products can neither overflow nor underflow
+                np.frexp(weights, out=(weights, mantissa_exponents))
+                exponents += mantissa_exponents
+    # |.| because the signs of the pivots and differences are not tracked.
+    # Eigenvalues equal to rounding divide by 0, which the sum check of
+    # _chain_lines reports
+    return np.ldexp(np.abs(weights), exponents)
 
 
 def _chain_lines(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of one chain and the squared first components of its
-    eigenvectors, from the eigenvalues of the chain and of the chain
-    without its first row (Golub & Welsch 1969):
-
-        w_j = prod_i |lam_j - mu_i| / prod_{i != j} |lam_j - lam_i|.
-    """
-    mu = _chain_eigenvalues(d[1:], e[1:])
+    eigenvectors (:func:`_edge_weights`)."""
     if not np.any(e[:1]):
         # the first state is decoupled (J = 0, or a chain of one state), so
-        # it is an eigenvector; the interlacing product would read 0/0.  Sorted,
-        # with coinciding levels (all of them at g = 0) taken as one
+        # it is an eigenvector; the pivot sweep would read 0/0.  Sorted, with
+        # coinciding levels (all of them at g = 0) taken as one
+        mu = _chain_eigenvalues(d[1:], e[1:])
         lam, first = np.unique(np.concatenate([d[:1], mu]), return_index=True)
         return lam, np.where(first == 0, 1.0, 0.0)
     lam = _chain_eigenvalues(d, e)
-    n = lam.size
-    weights = np.empty(n)
-    cols = np.arange(n - 1)
-    rows = max(1, _RATIO_BLOCK // n)
-    # numerators and denominators of one block of ratios, rows j by columns
-    # i, reused for every block
-    nums = np.empty((min(rows, n), n - 1))
-    dens = np.empty_like(nums)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            x = lam[start:stop, None]
-            num, den = nums[:stop - start], dens[:stop - start]
-            # mu_i paired with lam_i below j and with lam_{i+1} from j on: by
-            # interlacing every ratio lies in (0, 1), so the product cannot
-            # overflow; |.| because rounding can break the interlacing.  Eigenvalues
-            # equal to rounding give 0/0, which the sum check below reports
-            np.subtract(x, lam[1:], out=den)
-            np.subtract(x, lam[:start], out=den[:, :start])
-            block = slice(start, stop - 1)
-            np.copyto(den[:, block], x - lam[block],
-                      where=cols[block] < np.arange(start, stop)[:, None])
-            np.subtract(x, mu, out=num)
-            np.divide(num, den, out=num)
-            np.abs(num, out=num)
-            np.prod(num, axis=1, out=weights[start:stop])
+    weights = _edge_weights(d, e, lam)
     total = float(np.sum(weights))
     if not abs(total - 1.0) <= DIAGONAL_SUM_TOL:
         raise NumericalFailureError(
@@ -230,6 +272,26 @@ def _chain_lines(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "lie too close together to resolve them"
         )
     return lam, weights
+
+
+def _parity_chains(h: SectorHamiltonian):
+    """``(centre, sym, anti)``: the ``(d, e)`` chains of the two parity
+    halves (see :func:`parity_chain_spectra`), their diagonals measured from
+    ``centre``, the middle of the sector diagonal's span."""
+    n = h.n_photons
+    m = n // 2
+    # eigenvalue errors scale with the largest entry, so take out the offset
+    # the whole diagonal shares; the pivots and differences do not depend on it
+    centre = 0.5 * (float(np.min(h.diag)) + float(np.max(h.diag)))
+    d = h.diag - centre
+    e = h.offdiag
+    if n % 2 == 0:
+        sym = (d[:m + 1], np.concatenate([e[:m - 1], [math.sqrt(2.0) * e[m - 1]]]))
+        anti = (d[:m], e[:m - 1])
+    else:
+        sym = (np.concatenate([d[:m], [d[m] + e[m]]]), e[:m])
+        anti = (np.concatenate([d[:m], [d[m] - e[m]]]), e[:m])
+    return centre, sym, anti
 
 
 def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectrum]:
@@ -244,9 +306,11 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
 
     The edge state |N,0> is the sum of the chains' first states
     (|N,0> +- |0,N>)/sqrt(2), over sqrt(2), so each half's weights are the
-    squared first components u^2 of its chain's eigenvectors.  They come from eigenvalues alone, via the
-    interlacing product of each chain and the chain without its first row.
-    Time O(N^2), memory O(N).  Returns ``(sym, anti)``, of ``N//2 + 1`` and
+    squared first components u^2 of its chain's eigenvectors.  Per chain,
+    one eigensolve gives the eigenvalues, and one pivot sweep of the chain
+    without its first row, run at all of them at once, gives the weights
+    (:func:`_edge_weights`): two eigensolves in all, time O(N^2), memory
+    O(N).  Returns ``(sym, anti)``, of ``N//2 + 1`` and
     ``(N+1)//2`` lines; fewer where J = 0 and g = 0 make levels coincide, or
     where J lies below the rounding of the levels.
 
@@ -257,19 +321,7 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
         ``DIAGONAL_SUM_TOL`` because its eigenvalues are too close together to
         resolve them.
     """
-    n = h.n_photons
-    m = n // 2
-    # eigenvalue errors scale with the largest entry, so take out the offset
-    # the whole diagonal shares; the interlacing ratios do not depend on it
-    centre = 0.5 * (float(np.min(h.diag)) + float(np.max(h.diag)))
-    d = h.diag - centre
-    e = h.offdiag
-    if n % 2 == 0:
-        sym = (d[:m + 1], np.concatenate([e[:m - 1], [math.sqrt(2.0) * e[m - 1]]]))
-        anti = (d[:m], e[:m - 1])
-    else:
-        sym = (np.concatenate([d[:m], [d[m] + e[m]]]), e[:m])
-        anti = (np.concatenate([d[:m], [d[m] - e[m]]]), e[:m])
+    centre, sym, anti = _parity_chains(h)
     halves = []
     for lam, weights in (_chain_lines(*sym), _chain_lines(*anti)):
         # eigenvalues resolved apart can round to one double once the centre

@@ -61,7 +61,8 @@ def test_spectrum_lines_frozen_and_deterministic(tmp_path):
     assert sidecar["config"]["model"] == "harmonic"
     assert "version" in sidecar
     assert sidecar["diagnostics"] == {
-        "harmonic": {"lines": 3, "zero_weight_lines": 0, "weight_sum_defect": 0.0}}
+        "harmonic": {"lines": 3, "zero_weight_lines": 0, "weight_sum_defect": 0.0,
+                     "half_weight_sum_defects": {"sym": 0.0, "anti": 0.0}}}
 
 
 def test_chain_levels_equal_once_the_centre_is_added_back_form_one_line(tmp_path):
@@ -140,7 +141,8 @@ def test_odd_photon_numbers_run_on_every_route(tmp_path):
     diagnostics = json.loads((tmp_path / "dynamics_anharmonic-oracle.json").read_text())[
         "diagnostics"]
     assert diagnostics["harmonic"] == {
-        "lines": 8, "zero_weight_lines": 0, "weight_sum_defect": 0.0}
+        "lines": 8, "zero_weight_lines": 0, "weight_sum_defect": 0.0,
+        "half_weight_sum_defects": {"sym": 0.0, "anti": 0.0}}
 
 
 def test_edge_doublet_writes_two_lines_and_densities_that_match_the_recursion(tmp_path):
@@ -229,6 +231,22 @@ def test_noon_summary_and_histogram(tmp_path):
     assert 0.0 <= summary["max_score"] <= 1.0 + 1e-9
     assert sidecar["metadata"]["axes"] == "moduli"
     assert sidecar["diagnostics"]["anharmonic-oracle"]["lines"] == 5
+
+
+def test_noon_sidecar_reports_each_half_weight_sum_defect(tmp_path):
+    """At t = 0 the halves' amplitudes are their weight sums S and A, and the
+    N00N score (|c0| + |cN|)^2 / 2 is max(S, A)^2 / 2: the per-half defects
+    explain whether the initial sample scores 0.5 or a rounding below."""
+    result = invoke("noon", "--N", 100, "--tmax", 1, "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    sidecar = json.loads((tmp_path / "noon_anharmonic-oracle.json").read_text())
+    diagnostics = sidecar["diagnostics"]["anharmonic-oracle"]
+    halves = effective.parity_chain_spectra(effective.build_sector_hamiltonian(
+        ModelParams(n_photons=100, omega0=1.0, g=1.2, j_tun=0.8)))
+    assert diagnostics["half_weight_sum_defects"] == {
+        name: float(np.sum(half.weights)) - 1.0 for name, half in zip(("sym", "anti"), halves)}
+    best = 1.0 + max(diagnostics["half_weight_sum_defects"].values())
+    assert sidecar["summary"]["max_score"] == pytest.approx(best**2 / 2, rel=0, abs=1e-14)
 
 
 def test_noon_sidecar_holds_sampled_and_exact_long_time_means(tmp_path):

@@ -286,6 +286,18 @@ def test_parity_chains_unresolvable_weights_raise_numerical_failure():
         parity_chain_spectra(h)
 
 
+def test_eigensolver_failure_is_a_numerical_failure(monkeypatch):
+    """A nonzero LAPACK ``info`` raises NumericalFailureError (exit 3) on both
+    routes that call the tridiagonal eigensolver."""
+    from scipy.linalg import lapack
+
+    monkeypatch.setattr(lapack, "dstevd", lambda d, e, compute_v: (d, d, 1))
+    h = build_sector_hamiltonian(ModelParams(n_photons=6, omega0=1.0, g=1.2, j_tun=0.8))
+    for route in (diagonalize, parity_chain_spectra):
+        with pytest.raises(NumericalFailureError, match="dstevd info=1"):
+            route(h)
+
+
 def test_parity_chains_run_in_linear_memory():
     params = ModelParams(n_photons=10_000, omega0=1.0, g=1.2, j_tun=0.8)
     h = build_sector_hamiltonian(params)
@@ -330,7 +342,8 @@ def test_parity_halves_are_line_spectra_that_merge_to_the_oracle(n, g, j, omega0
 
 
 def where_form_chain_weights(d, e):
-    """The interlacing product in one piece, its pairing chosen by np.where."""
+    """The interlacing product in one piece, its pairing chosen by np.where:
+    the eigenvalues of the chain and of the chain without its first row."""
     lam = scipy.linalg.eigvalsh_tridiagonal(d, e)
     mu = scipy.linalg.eigvalsh_tridiagonal(d[1:], e[1:])
     j = np.arange(lam.size)[:, None]
@@ -339,16 +352,82 @@ def where_form_chain_weights(d, e):
     return lam, np.prod(np.abs((x - mu) / (x - paired)), axis=1)
 
 
-@pytest.mark.parametrize("block", [1, 2, 7, 2**15])
-@pytest.mark.parametrize("n", [2, 3, 4, 9, 64, 181, 182, 183])
-def test_chain_weights_equal_the_where_form(monkeypatch, block, n):
-    """Blocked rows of ratios, whole and partial blocks, full and one-row
-    blocks, give the bits of the product built in one piece."""
-    monkeypatch.setattr(effective, "_RATIO_BLOCK", block)
-    rng = np.random.default_rng(n)
-    d = np.sort(rng.uniform(-3.0, 3.0, n))
-    e = rng.uniform(0.2, 1.0, n - 1)
+def _assert_sweep_matches_the_where_form(d, e):
+    """The chain's eigenvalues bit for bit, and its pivot-sweep weights,
+    which ``_chain_lines`` has checked to sum to 1, within 5 n eps of the
+    interlacing product's.  The largest difference measured on the chains
+    of these tests is 1.8 n eps (3.9e-13 at n = 1000), about as far as
+    either route lies from extended-precision weights."""
     lam, weights = effective._chain_lines(d, e)
     lam_ref, weights_ref = where_form_chain_weights(d, e)
     assert np.array_equal(lam, lam_ref)
-    assert np.array_equal(weights, weights_ref)
+    assert np.all(np.isfinite(weights))
+    tol = 5 * lam.size * np.finfo(float).eps
+    np.testing.assert_allclose(weights, weights_ref, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 64, 181, 182, 183, 1000])
+def test_chain_weights_equal_the_where_form(n):
+    rng = np.random.default_rng(n)
+    d = np.sort(rng.uniform(-3.0, 3.0, n))
+    e = rng.uniform(0.2, 1.0, n - 1)
+    _assert_sweep_matches_the_where_form(d, e)
+
+
+@pytest.mark.parametrize("n, g, j, omega0", [
+    (64, 0.0, 1e-9, 1.0), (65, 0.0, 1e-12, 1.0), (64, 0.0, 1e-17, 1.0),
+    (101, 0.0, 0.8, 1.0), (21, 1.2, 0.8, 1.0), (20, 2.0, 0.2, 0.0),
+], ids=["j1e-9", "j1e-12-odd", "j1e-17", "g0-odd", "odd", "doublet"])
+def test_parity_chain_weights_equal_the_where_form(n, g, j, omega0):
+    """Tunneling far below the level spacing, the harmonic limit g = 0, odd
+    N, and the chains of the N=20 edge doublet (g=2, J=0.2, omega0=0): the
+    sweep gives finite weights that sum to 1 and match the interlacing
+    product."""
+    h = build_sector_hamiltonian(ModelParams(n_photons=n, omega0=omega0, g=g, j_tun=j))
+    _, *chains = effective._parity_chains(h)
+    for d, e in chains:
+        _assert_sweep_matches_the_where_form(d, e)
+
+
+@pytest.mark.parametrize("j", [1e-300, 1e300])
+def test_parity_chain_weights_hold_at_any_scale(j):
+    """At g = 0 the chains are J times fixed matrices, and their weights the
+    binomial ones at any J: squared couplings of 1e-300 or 1e300 would
+    leave double range in an unscaled sweep."""
+    params = ModelParams(n_photons=20, omega0=0.0, g=0.0, j_tun=j)
+    chains = parity_chain_spectra(build_sector_hamiltonian(params))
+    for chain, closed in zip(chains, harmonic_line_spectra(params)):
+        np.testing.assert_allclose(chain.weights, closed.weights, rtol=0, atol=1e-14)
+
+
+def test_an_exactly_zero_pivot_takes_the_signed_floor():
+    """At lam = 0 the first pivot of the chain d = (0, 0, 0), e = (1, 1)
+    without its first row is exactly 0; the eigensolver never returns an
+    exact 0 there, so the eigenvalues are set by hand.  The floored pivot
+    and the next one, about e^2 / floor, multiply to -e^2, their limit as
+    the first goes to 0."""
+    lam = np.array([-math.sqrt(2.0), 0.0, math.sqrt(2.0)])
+    weights = effective._edge_weights(np.zeros(3), np.ones(2), lam)
+    np.testing.assert_allclose(weights, [0.25, 0.5, 0.25], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_parity_chains_make_one_eigensolve_per_chain(monkeypatch, n):
+    sizes = []
+    solve = effective._chain_eigenvalues
+
+    def counted(d, e):
+        sizes.append(d.size)
+        return solve(d, e)
+
+    monkeypatch.setattr(effective, "_chain_eigenvalues", counted)
+    parity_chain_spectra(build_sector_hamiltonian(
+        ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=0.8)))
+    assert sizes == [n // 2 + 1, (n + 1) // 2]
+
+
+def test_parity_chains_match_the_dense_oracle_at_n_2000():
+    """The chains' line table against the dense eigenvectors' well past the
+    N <= 400 of the property tests above."""
+    params = ModelParams(n_photons=2000, omega0=1.0, g=1.2, j_tun=0.8)
+    _assert_chains_match_oracle(build_sector_hamiltonian(params))

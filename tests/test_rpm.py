@@ -449,3 +449,16 @@ def test_spectra_input_validation():
             rpm_spectra(params, [0.0, 1.0], bad)
     with pytest.raises(ValueError):
         rpm_spectra(params, [], 0.01)
+
+
+def test_chain_densities_match_the_recursion_at_n_3000():
+    """The densities broadened from the parity chains against the
+    recursion's at the N of the ``oracle-n3000`` benchmark, well past the
+    N <= 60 above: the chains and the recursion share no code."""
+    params = ModelParams(n_photons=3000, omega0=1.0, g=1.2, j_tun=0.8)
+    h = build_sector_hamiltonian(params)
+    reach = 2.0 * float(np.max(np.abs(h.offdiag)))
+    grid = np.linspace(h.diag.min() - reach, h.diag.max() + reach, 801)
+    chains = smoothed_density(*parity_chain_spectra(h), grid, 0.01)
+    for rho_r, rho_c in zip(rpm_spectra(params, grid, 0.01), chains):
+        assert np.max(np.abs(rho_r - rho_c)) <= 1e-9
