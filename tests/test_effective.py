@@ -366,12 +366,20 @@ def _assert_sweep_matches_the_where_form(d, e):
     np.testing.assert_allclose(weights, weights_ref, rtol=0, atol=tol)
 
 
+@pytest.mark.parametrize("depths", [1, 2, 7, 2**15])
 @pytest.mark.parametrize("n", [2, 3, 4, 9, 64, 181, 182, 183, 1000])
-def test_chain_weights_equal_the_where_form(n):
+def test_chain_weights_equal_the_where_form(monkeypatch, depths, n):
+    """Rescaling the running products at every depth, every other, at a
+    stride that leaves a partial last run, or never: the sweep matches the
+    interlacing product, and bit for bit the sweep at the default stride,
+    since a rescaling by a power of two rounds nothing."""
     rng = np.random.default_rng(n)
     d = np.sort(rng.uniform(-3.0, 3.0, n))
     e = rng.uniform(0.2, 1.0, n - 1)
+    _, weights_default = effective._chain_lines(d, e)
+    monkeypatch.setattr(effective, "_RESCALE_DEPTHS", depths)
     _assert_sweep_matches_the_where_form(d, e)
+    assert np.array_equal(effective._chain_lines(d, e)[1], weights_default)
 
 
 @pytest.mark.parametrize("n, g, j, omega0", [
