@@ -9,7 +9,9 @@ tunneling amplitudes next to it.
 Line spectra come from the two exchange-parity chains of that matrix
 (:func:`parity_chain_spectra`), one per parity half: per chain one
 eigensolve, eigenvalues only, and one pivot sweep for the weights, in
-O(N^2) time and O(N) memory.  The dense eigensolve with eigenvectors
+O(N^2) time and O(N) memory.  The eigensolves call LAPACK through a ctypes
+binding that releases the GIL, so long chains are solved side by side on
+two threads.  The dense eigensolve with eigenvectors
 (:func:`diagonalize`, :func:`spectra_from_eigen`) is the oracle that the
 chains, and the projection recursion, are validated against.  It does not
 use parity: it gives the line table directly, with eigenvalues closer than
@@ -19,6 +21,8 @@ the package.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +52,10 @@ _RESCALE_DEPTHS = 8
 _PIVOT_FLOOR = 2.0**-511
 # relative gap below which the dense oracle takes eigenvalues as one level
 MERGE_RTOL = 1e-9
+# rows of the symmetric parity chain from which parity_chain_spectra runs the
+# two chains' eigensolves on two threads: below about 192 a thread costs
+# more wall time than it saves, and at 256 it saves about a tenth
+_CONCURRENT_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -169,28 +177,70 @@ def spectra_from_eigen(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarr
     return _merge_close_levels(decomp.energies, first**2, last * first)
 
 
+@functools.cache
+def _lapack_dstevd():
+    """ctypes binding of LAPACK ``dstevd``, from the function pointer that
+    SciPy exports in ``scipy.linalg.cython_lapack.__pyx_capi__``.  A ctypes
+    foreign function releases the GIL for the call."""
+    # imported here: it takes most of the package's import time, and the
+    # recursion and closed-form paths never need it
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dstevd"]
+    # prototypes of its own, as setting argtypes on ctypes.pythonapi's
+    # functions would change them for every other caller
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+    double_p = ctypes.POINTER(ctypes.c_double)
+    int_p = ctypes.POINTER(ctypes.c_int)
+    # jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info
+    return ctypes.CFUNCTYPE(None, ctypes.c_char_p, int_p, double_p, double_p, double_p,
+                            int_p, double_p, int_p, int_p, int_p, int_p)(address)
+
+
+def _first(a: np.ndarray, ctype=ctypes.c_double):
+    """The first element of the C-contiguous array ``a`` as a ``ctype`` over
+    its buffer, which a ctypes pointer argument takes by reference and which
+    keeps ``a`` alive; ``None`` (a null pointer) if ``a`` is empty."""
+    return ctype.from_buffer(a) if a.size else None
+
+
 def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, vectors: bool):
     """Ascending eigenvalues of the symmetric tridiagonal matrix ``(d, e)``,
-    with its eigenvectors as columns if ``vectors``, else ``None``: LAPACK
-    ``dstevd`` called directly, which for eigenvalues only runs ``dsterf``.
+    with its eigenvectors as the columns of a Fortran-ordered array if
+    ``vectors``, else ``None``: LAPACK ``dstevd`` through
+    :func:`_lapack_dstevd`, with the workspace sizes of SciPy's f2py
+    wrapper.  For eigenvalues only it runs ``dsterf``.  The call releases
+    the GIL, so :func:`parity_chain_spectra` can run two at once.
 
     Raises
     ------
     NumericalFailureError
         If the eigensolver fails to converge.
     """
-    if d.size <= 1:
-        # the wrapper refuses an empty off-diagonal
-        return d.copy(), np.ones((d.size, d.size)) if vectors else None
-    # imported here: it takes most of the package's import time, and the
-    # recursion and closed-form paths never need it
-    from scipy.linalg import lapack
-
-    energies, z, info = lapack.dstevd(d, e, compute_v=int(vectors))
-    if info != 0:
+    n = d.size
+    energies = np.array(d, dtype=float)
+    # dstevd overwrites the off-diagonal
+    off = np.array(e, dtype=float)
+    # LAPACK reads n - 1 couplings whatever the buffer holds
+    if energies.ndim != 1 or off.shape != (max(n - 1, 0),):
+        raise ValueError("a tridiagonal matrix needs n diagonal and n - 1 off-diagonal entries")
+    # dstevd writes each eigenvector as a Fortran column, a row of this
+    # C-ordered array: z.T holds them as columns
+    z = np.empty((n, n) if vectors else (1, 1))
+    work = np.empty(1 + 4 * n + n * n if vectors else 1)
+    iwork = np.empty(3 + 5 * n if vectors else 1, dtype=np.intc)
+    info = ctypes.c_int()
+    _lapack_dstevd()(b"V" if vectors else b"N", ctypes.c_int(n), _first(energies),
+                     _first(off), _first(z), ctypes.c_int(max(1, z.shape[0])), _first(work),
+                     ctypes.c_int(work.size), _first(iwork, ctypes.c_int),
+                     ctypes.c_int(iwork.size), info)
+    if info.value != 0:
         raise NumericalFailureError(
-            f"tridiagonal eigensolver failed: LAPACK dstevd info={info}")
-    return energies, z if vectors else None
+            f"tridiagonal eigensolver failed: LAPACK dstevd info={info.value}")
+    return energies, z.T if vectors else None
 
 
 def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -253,17 +303,23 @@ def _edge_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.ldexp(np.abs(weights), exponents)
 
 
-def _chain_lines(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of one chain and the squared first components of its
-    eigenvectors (:func:`_edge_weights`)."""
-    if not np.any(e[:1]):
-        # the first state is decoupled (J = 0, or a chain of one state), so
-        # it is an eigenvector; the pivot sweep would read 0/0.  Sorted, with
-        # coinciding levels (all of them at g = 0) taken as one
-        mu = _chain_eigenvalues(d[1:], e[1:])
-        lam, first = np.unique(np.concatenate([d[:1], mu]), return_index=True)
+def _solved_chain(d: np.ndarray, e: np.ndarray):
+    """The chain whose eigenvalues :func:`_chain_lines` takes for the chain
+    ``(d, e)``: the chain itself, or the chain without its first state where
+    that state is decoupled (J = 0, or a chain of one state) and so an
+    eigenvector."""
+    return (d[1:], e[1:]) if not np.any(e[:1]) else (d, e)
+
+
+def _chain_lines(d: np.ndarray, e: np.ndarray, lam: np.ndarray):
+    """Eigenvalues of the chain ``(d, e)`` and the squared first components
+    of its eigenvectors (:func:`_edge_weights`), from the eigenvalues ``lam``
+    of its :func:`_solved_chain`."""
+    if lam.size < d.size:
+        # the first state is decoupled, and the pivot sweep would read 0/0.
+        # Sorted, with coinciding levels (all of them at g = 0) taken as one
+        lam, first = np.unique(np.concatenate([d[:1], lam]), return_index=True)
         return lam, np.where(first == 0, 1.0, 0.0)
-    lam = _chain_eigenvalues(d, e)
     weights = _edge_weights(d, e, lam)
     total = float(np.sum(weights))
     if not abs(total - 1.0) <= DIAGONAL_SUM_TOL:
@@ -310,7 +366,12 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
     one eigensolve gives the eigenvalues, and one pivot sweep of the chain
     without its first row, run at all of them at once, gives the weights
     (:func:`_edge_weights`): two eigensolves in all, time O(N^2), memory
-    O(N).  Returns ``(sym, anti)``, of ``N//2 + 1`` and
+    O(N).  From ``_CONCURRENT_ROWS`` rows of the symmetric chain on, a
+    worker thread solves it while the calling thread solves the
+    antisymmetric one; the worker is joined, and its error re-raised, before
+    the call returns.  Both paths give the same bytes.  Below the threshold,
+    where a thread costs more than it saves, the call stays serial.
+    Returns ``(sym, anti)``, of ``N//2 + 1`` and
     ``(N+1)//2`` lines; fewer where J = 0 and g = 0 make levels coincide, or
     where J lies below the rounding of the levels.
 
@@ -322,8 +383,22 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
         resolve them.
     """
     centre, sym, anti = _parity_chains(h)
+    solved = [_solved_chain(*chain) for chain in (sym, anti)]
+    if sym[0].size < _CONCURRENT_ROWS:
+        eigenvalues = [_chain_eigenvalues(*chain) for chain in solved]
+    else:
+        # imported here: below the threshold no call needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the eigensolves release the GIL: a worker solves the symmetric
+        # chain while this thread solves the antisymmetric one
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(_chain_eigenvalues, *solved[0])
+            anti_eigenvalues = _chain_eigenvalues(*solved[1])
+            eigenvalues = [future.result(), anti_eigenvalues]
     halves = []
-    for lam, weights in (_chain_lines(*sym), _chain_lines(*anti)):
+    for chain, chain_eigenvalues in zip((sym, anti), eigenvalues):
+        lam, weights = _chain_lines(*chain, chain_eigenvalues)
         # eigenvalues resolved apart can round to one double once the centre
         # is added back: one line with their summed weight, the rule of
         # edge_lines and harmonic_line_spectra

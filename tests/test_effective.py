@@ -1,15 +1,18 @@
 """Sector Hamiltonian assembly and exact diagonalization."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import scipy.linalg
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cavity_rpm import effective
+from cavity_rpm.cli import main
 from cavity_rpm.core import (
     LineSpectrum,
     ModelParams,
@@ -286,16 +289,116 @@ def test_parity_chains_unresolvable_weights_raise_numerical_failure():
         parity_chain_spectra(h)
 
 
-def test_eigensolver_failure_is_a_numerical_failure(monkeypatch):
-    """A nonzero LAPACK ``info`` raises NumericalFailureError (exit 3) on both
-    routes that call the tridiagonal eigensolver."""
-    from scipy.linalg import lapack
+def test_eigensolver_failure_is_a_numerical_failure(monkeypatch, tmp_path):
+    """A nonzero LAPACK ``info``, set after a real call of the ``dstevd``
+    binding, raises NumericalFailureError on the dense route and on the
+    serial parity chains.  Above ``_CONCURRENT_ROWS`` only the worker
+    thread's eigensolve fails, and its error still reaches the caller and
+    makes the command line exit 3.  No call leaves a thread behind."""
+    binding = effective._lapack_dstevd()
+    caller = threading.get_ident()
 
-    monkeypatch.setattr(lapack, "dstevd", lambda d, e, compute_v: (d, d, 1))
-    h = build_sector_hamiltonian(ModelParams(n_photons=6, omega0=1.0, g=1.2, j_tun=0.8))
+    def fail(where):
+        def failing(*args):
+            binding(*args)
+            if where():
+                args[-1].value = 1
+        monkeypatch.setattr(effective, "_lapack_dstevd", lambda: failing)
+
+    threads = threading.active_count()
+    small = build_sector_hamiltonian(ModelParams(n_photons=6, omega0=1.0, g=1.2, j_tun=0.8))
+    fail(lambda: True)
     for route in (diagonalize, parity_chain_spectra):
         with pytest.raises(NumericalFailureError, match="dstevd info=1"):
-            route(h)
+            route(small)
+        assert threading.active_count() == threads
+    n = 2 * effective._CONCURRENT_ROWS
+    fail(lambda: threading.get_ident() != caller)
+    with pytest.raises(NumericalFailureError, match="dstevd info=1"):
+        parity_chain_spectra(build_sector_hamiltonian(
+            ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=0.8)))
+    assert threading.active_count() == threads
+    result = CliRunner().invoke(main, ["spectrum", "--model", "anharmonic-oracle",
+                                       "--N", str(n), "--out", str(tmp_path)])
+    assert result.exit_code == 3
+    assert "dstevd info=1" in result.output
+    assert threading.active_count() == threads
+
+
+def _recorded_chain_eigenvalues(monkeypatch):
+    """``(d, e, eigenvalues)`` of each chain eigensolve from here on, on any
+    thread."""
+    calls = []
+    solve = effective._chain_eigenvalues
+
+    def recorded(d, e):
+        lam = solve(d, e)
+        calls.append((d, e, lam))
+        return lam
+
+    monkeypatch.setattr(effective, "_chain_eigenvalues", recorded)
+    return calls
+
+
+BELOW_THRESHOLD = 2 * effective._CONCURRENT_ROWS - 4
+AT_THRESHOLD = 2 * effective._CONCURRENT_ROWS - 2
+
+
+@pytest.mark.parametrize("n, g, j, omega0", [
+    (100, 1.2, 0.8, 1.0), (101, 1.2, 0.8, 1.0),
+    (BELOW_THRESHOLD, 1.2, 0.8, 1.0), (AT_THRESHOLD, 1.2, 0.8, 1.0),
+    (AT_THRESHOLD + 1, 1.2, 0.8, 1.0), (3000, 1.2, 0.8, 1.0),
+    (20, 0.0, 1e-300, 0.0), (20, 0.0, 1e300, 0.0),
+    (AT_THRESHOLD, 0.0, 1e-300, 0.0), (AT_THRESHOLD, 0.0, 1e300, 0.0),
+])
+def test_chain_eigenvalues_equal_the_f2py_dstevd(monkeypatch, n, g, j, omega0):
+    """Serial and on two threads, the binding's eigenvalues are those of
+    SciPy's f2py ``dstevd`` bit for bit, also where ``dsterf`` scales a
+    chain of norm 1e-300 or 1e300."""
+    from scipy.linalg import lapack
+
+    calls = _recorded_chain_eigenvalues(monkeypatch)
+    parity_chain_spectra(build_sector_hamiltonian(
+        ModelParams(n_photons=n, omega0=omega0, g=g, j_tun=j)))
+    assert sorted(d.size for d, _, _ in calls) == [(n + 1) // 2, n // 2 + 1]
+    for d, e, lam in calls:
+        reference, _, info = lapack.dstevd(d, e, compute_v=0)
+        assert info == 0
+        assert lam.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 101])
+def test_dense_eigenpairs_equal_the_f2py_dstevd(n):
+    from scipy.linalg import lapack
+
+    h = build_sector_hamiltonian(ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=0.8))
+    decomp = diagonalize(h)
+    energies, vectors, info = lapack.dstevd(h.diag, h.offdiag, compute_v=1)
+    assert info == 0
+    assert decomp.energies.tobytes() == energies.tobytes()
+    assert decomp.vectors.tobytes("A") == vectors.tobytes("A")
+    assert decomp.vectors.flags.f_contiguous
+
+
+def test_eigensolver_refuses_a_short_off_diagonal():
+    """LAPACK would read n - 1 couplings past the end of a shorter buffer."""
+    with pytest.raises(ValueError, match="n - 1 off-diagonal"):
+        effective._eigh_tridiagonal(np.zeros(3), np.ones(1), vectors=False)
+
+
+@pytest.mark.parametrize("n, j", [(6, 0.8), (101, 0.8), (AT_THRESHOLD, 0.8),
+                                  (3000, 0.8), (101, 0.0), (AT_THRESHOLD + 1, 0.0)])
+def test_concurrent_and_serial_chains_give_the_same_bytes(monkeypatch, n, j):
+    """The same input through both paths, with the threshold at one row and
+    above every chain, at J = 0 too, where one eigensolve takes the chain
+    without its decoupled first state."""
+    h = build_sector_hamiltonian(ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=j))
+    halves = []
+    for rows in (1, n + 2):
+        monkeypatch.setattr(effective, "_CONCURRENT_ROWS", rows)
+        halves.append([(half.energies.tobytes(), half.weights.tobytes())
+                       for half in parity_chain_spectra(h)])
+    assert halves[0] == halves[1]
 
 
 def test_parity_chains_run_in_linear_memory():
@@ -352,13 +455,19 @@ def where_form_chain_weights(d, e):
     return lam, np.prod(np.abs((x - mu) / (x - paired)), axis=1)
 
 
+def chain_lines(d, e):
+    """``_chain_lines`` of the chain ``(d, e)`` with its own eigensolve."""
+    lam = effective._chain_eigenvalues(*effective._solved_chain(d, e))
+    return effective._chain_lines(d, e, lam)
+
+
 def _assert_sweep_matches_the_where_form(d, e):
     """The chain's eigenvalues bit for bit, and its pivot-sweep weights,
     which ``_chain_lines`` has checked to sum to 1, within 5 n eps of the
     interlacing product's.  The largest difference measured on the chains
     of these tests is 1.8 n eps (3.9e-13 at n = 1000), about as far as
     either route lies from extended-precision weights."""
-    lam, weights = effective._chain_lines(d, e)
+    lam, weights = chain_lines(d, e)
     lam_ref, weights_ref = where_form_chain_weights(d, e)
     assert np.array_equal(lam, lam_ref)
     assert np.all(np.isfinite(weights))
@@ -376,10 +485,10 @@ def test_chain_weights_equal_the_where_form(monkeypatch, depths, n):
     rng = np.random.default_rng(n)
     d = np.sort(rng.uniform(-3.0, 3.0, n))
     e = rng.uniform(0.2, 1.0, n - 1)
-    _, weights_default = effective._chain_lines(d, e)
+    _, weights_default = chain_lines(d, e)
     monkeypatch.setattr(effective, "_RESCALE_DEPTHS", depths)
     _assert_sweep_matches_the_where_form(d, e)
-    assert np.array_equal(effective._chain_lines(d, e)[1], weights_default)
+    assert np.array_equal(chain_lines(d, e)[1], weights_default)
 
 
 @pytest.mark.parametrize("n, g, j, omega0", [
@@ -419,19 +528,25 @@ def test_an_exactly_zero_pivot_takes_the_signed_floor():
     np.testing.assert_allclose(weights, [0.25, 0.5, 0.25], rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [100, 101])
+@pytest.mark.parametrize("n", [100, 101, AT_THRESHOLD])
 def test_parity_chains_make_one_eigensolve_per_chain(monkeypatch, n):
-    sizes = []
-    solve = effective._chain_eigenvalues
+    """One eigensolve per chain, serial below ``_CONCURRENT_ROWS`` rows of
+    the symmetric chain and with one worker thread from there on."""
+    import concurrent.futures
 
-    def counted(d, e):
-        sizes.append(d.size)
-        return solve(d, e)
+    pools = []
 
-    monkeypatch.setattr(effective, "_chain_eigenvalues", counted)
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    calls = _recorded_chain_eigenvalues(monkeypatch)
     parity_chain_spectra(build_sector_hamiltonian(
         ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=0.8)))
-    assert sizes == [n // 2 + 1, (n + 1) // 2]
+    assert sorted(d.size for d, _, _ in calls) == [(n + 1) // 2, n // 2 + 1]
+    assert len(pools) == (1 if n // 2 + 1 >= effective._CONCURRENT_ROWS else 0)
 
 
 def test_parity_chains_match_the_dense_oracle_at_n_2000():

@@ -175,3 +175,40 @@ def test_every_config_key_is_read():
         and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)
     }
     assert sorted(set(DEFAULTS) - read) == []
+
+
+# modules of threads and foreign calls, which only effective's parity chains use
+CONCURRENCY = ("threading", "concurrent", "ctypes", "multiprocessing", "_thread")
+
+
+def _imported_modules(tree):
+    """Dotted names of the modules that the module's imports load."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_threads_and_foreign_calls_stay_in_effective():
+    """Only ``effective`` starts a thread or calls LAPACK through ctypes, so
+    the concurrency stays in one place."""
+    found = sorted(
+        f"{path.stem}: {name}" for path in MODULES if path.name != "effective.py"
+        for name in _imported_modules(_tree(path))
+        if name.split(".")[0] in CONCURRENCY
+    )
+    assert found == []
+
+
+def test_no_module_reads_the_environment():
+    """No environment variable sets how the package runs: a thread count or
+    any other knob belongs in the command line's options, if anywhere."""
+    found = sorted(
+        f"{path.stem}:{node.lineno}" for path in MODULES for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "os" and node.attr in ("environ", "environb", "getenv"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name in ("environ", "environb", "getenv") for a in node.names))
+    )
+    assert found == []
