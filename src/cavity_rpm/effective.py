@@ -387,7 +387,8 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
     if sym[0].size < _CONCURRENT_ROWS:
         eigenvalues = [_chain_eigenvalues(*chain) for chain in solved]
     else:
-        # imported here: below the threshold no call needs it
+        # imported here: it adds milliseconds to the package's import, and
+        # no call below the threshold needs it
         from concurrent.futures import ThreadPoolExecutor
 
         # the eigensolves release the GIL: a worker solves the symmetric
