@@ -179,6 +179,8 @@ def test_every_config_key_is_read():
 
 # modules of threads and foreign calls, which only effective's parity chains use
 CONCURRENCY = ("threading", "concurrent", "ctypes", "multiprocessing", "_thread")
+# the names of ``os`` that read the environment
+ENVIRONMENT = ("environ", "environb", "getenv")
 
 
 def _imported_modules(tree):
@@ -207,8 +209,8 @@ def test_no_module_reads_the_environment():
     found = sorted(
         f"{path.stem}:{node.lineno}" for path in MODULES for node in ast.walk(_tree(path))
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id == "os" and node.attr in ("environ", "environb", "getenv"))
+            and node.value.id == "os" and node.attr in ENVIRONMENT)
         or (isinstance(node, ast.ImportFrom) and node.module == "os"
-            and any(a.name in ("environ", "environb", "getenv") for a in node.names))
+            and any(a.name in ENVIRONMENT for a in node.names))
     )
     assert found == []
