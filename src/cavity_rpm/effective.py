@@ -11,19 +11,26 @@ Line spectra come from the two exchange-parity chains of that matrix
 eigensolve, eigenvalues only, and one pivot sweep for the weights, in
 O(N^2) time and O(N) memory.  The eigensolves call LAPACK through a ctypes
 binding that releases the GIL, so long chains are solved side by side on
-two threads.  The dense eigensolve with eigenvectors
-(:func:`diagonalize`, :func:`spectra_from_eigen`) is the oracle that the
-chains, and the projection recursion, are validated against.  It does not
-use parity: it gives the line table directly, with eigenvalues closer than
-``MERGE_RTOL`` taken as one line, the only tolerance clustering of lines in
-the package.
+two threads.  The binding comes from SciPy's ``cython_lapack`` extension,
+loaded from its file without the ``scipy.linalg`` package, whose import
+takes longer than a figure-scale command computes.  The dense eigensolve
+with eigenvectors (:func:`diagonalize`, :func:`spectra_from_eigen`) is the
+oracle that the chains, and the projection recursion, are validated
+against.  It does not use parity: it gives the line table directly, with
+eigenvalues closer than ``MERGE_RTOL`` taken as one line, the only
+tolerance clustering of lines in the package.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +63,8 @@ MERGE_RTOL = 1e-9
 # two chains' eigensolves on two threads: below about 192 a thread costs
 # more wall time than it saves, and at 256 it saves about a tenth
 _CONCURRENT_ROWS = 256
+# held while the dstevd binding is looked up, so that it is made once
+_BINDING_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -177,14 +186,37 @@ def spectra_from_eigen(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarr
     return _merge_close_levels(decomp.energies, first**2, last * first)
 
 
-@functools.cache
 def _lapack_dstevd():
     """ctypes binding of LAPACK ``dstevd``, from the function pointer that
     SciPy exports in ``scipy.linalg.cython_lapack.__pyx_capi__``.  A ctypes
-    foreign function releases the GIL for the call."""
-    # imported here: it takes most of the package's import time, and the
-    # recursion and closed-form paths never need it
-    from scipy.linalg import cython_lapack
+    foreign function releases the GIL for the call.  Every call, on any
+    thread, returns the same binding."""
+    # functools.cache does not serialize first calls, and the two threads of
+    # parity_chain_spectra can both make the first one.  The extension enters
+    # itself in sys.modules early in its initialisation, which then imports
+    # the scipy package: without the lock the other thread could find it
+    # there without its __pyx_capi__ yet.
+    with _BINDING_LOCK:
+        return _dstevd_binding()
+
+
+@functools.cache
+def _dstevd_binding():
+    module_name = "scipy.linalg.cython_lapack"
+    cython_lapack = sys.modules.get(module_name)
+    if cython_lapack is None:
+        # loaded from its file alone: importing it by name would first run
+        # the scipy.linalg package, several times slower to import than the
+        # extension, which the recursion and closed-form paths never need.
+        # Finding the scipy package's directory imports nothing.
+        scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(
+            module_name, [os.path.join(d, "linalg") for d in scipy_dirs])
+        cython_lapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cython_lapack)
+        # published once initialised: a later import of scipy.linalg finds
+        # this module instead of loading it again
+        sys.modules[module_name] = cython_lapack
 
     capsule = cython_lapack.__pyx_capi__["dstevd"]
     # prototypes of its own, as setting argtypes on ctypes.pythonapi's

@@ -200,10 +200,123 @@ def run_python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
+# in a fresh interpreter: every command that solves a parity chain, then a
+# later import of scipy.linalg, which must find the extension the binding
+# loaded, and SciPy's own dstevd, which must give the binding's bytes
+ORACLE_COMMANDS_THEN_SCIPY_LINALG = """
+import sys
+from cavity_rpm import cli, effective
+from cavity_rpm.core import ModelParams
+from cavity_rpm.effective import build_sector_hamiltonian
+
+out = sys.argv[1]
+for argv in (["spectrum", "--model", "anharmonic-oracle", "--N", "600"],
+             ["spectrum", "--compare", "--N", "20", "--epsilon", "0.05"],
+             ["dynamics", "--model", "anharmonic-oracle", "--N", "20", "--tmax", "5"],
+             ["noon", "--N", "10", "--tmax", "20"],
+             ["validate"]):
+    cli.main([*argv, "--out", out], standalone_mode=False)
+assert "scipy.linalg" not in sys.modules
+loaded = sys.modules["scipy.linalg.cython_lapack"]
+import scipy.linalg
+from scipy.linalg import cython_lapack, lapack
+assert cython_lapack is loaded
+for n in (100, 600):
+    h = build_sector_hamiltonian(ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=0.8))
+    for d, e in effective._parity_chains(h)[1:]:
+        reference, _, info = lapack.dstevd(d, e, compute_v=0)
+        assert info == 0
+        assert effective._chain_eigenvalues(d, e).tobytes() == reference.tobytes()
+print("ok")
+"""
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
+    """Neither the import nor any command loads the scipy.linalg package:
+    the dstevd binding loads its extension alone, and a later import of
+    scipy.linalg reuses that module."""
     probe = run_python("-c", "import sys, cavity_rpm.cli; print('scipy.linalg' in sys.modules)")
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "False"
+    probe = run_python("-c", ORACLE_COMMANDS_THEN_SCIPY_LINALG, str(tmp_path))
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines()[-1] == "ok"
+
+
+def test_dstevd_binding_after_scipy_linalg_import_loads_no_second_module():
+    """With scipy.linalg imported first, the binding takes its extension
+    from sys.modules and loads no module of its own."""
+    probe = run_python("-c", """
+import sys
+import scipy.linalg
+from scipy.linalg import cython_lapack
+from cavity_rpm.core import ModelParams
+from cavity_rpm.effective import build_sector_hamiltonian, parity_chain_spectra
+
+loaded = set(sys.modules)
+parity_chain_spectra(build_sector_hamiltonian(
+    ModelParams(n_photons=100, omega0=1.0, g=1.2, j_tun=0.8)))
+assert sys.modules["scipy.linalg.cython_lapack"] is cython_lapack
+assert sorted(set(sys.modules) - loaded) == []
+print("ok")
+""")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "ok"
+
+
+def test_concurrent_first_calls_get_one_dstevd_binding():
+    """Eight threads released at once, switching every microsecond, make the
+    process's first calls of the binding: none reads a half-initialised
+    extension, and all get the same binding."""
+    probe = run_python("-c", """
+import sys, threading
+from cavity_rpm import effective
+
+barrier = threading.Barrier(8)
+bindings, errors = [], []
+
+def first_call():
+    barrier.wait()
+    try:
+        bindings.append(effective._lapack_dstevd())
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=first_call) for _ in range(8)]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+assert not any(thread.is_alive() for thread in threads)
+assert errors == [], errors
+assert len(bindings) == 8 and all(b is bindings[0] for b in bindings)
+print("ok")
+""")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "ok"
+
+
+def test_threaded_parity_chains_as_first_call():
+    """The first eigensolve of the process is a threaded one: both threads
+    ask for the binding at once."""
+    probe = run_python("-c", """
+from cavity_rpm import effective
+from cavity_rpm.core import ModelParams
+from cavity_rpm.effective import build_sector_hamiltonian, parity_chain_spectra
+
+n = 2 * effective._CONCURRENT_ROWS
+sym, anti = parity_chain_spectra(build_sector_hamiltonian(
+    ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=0.8)))
+assert sym.energies.size + anti.energies.size == n + 1
+print("ok")
+""")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "ok"
 
 
 def test_dynamics_empty_window_writes_header_only(tmp_path):

@@ -177,8 +177,9 @@ def test_every_config_key_is_read():
     assert sorted(set(DEFAULTS) - read) == []
 
 
-# modules of threads and foreign calls, which only effective's parity chains use
-CONCURRENCY = ("threading", "concurrent", "ctypes", "multiprocessing", "_thread")
+# modules of threads, foreign calls and loading a module from its file, which
+# only effective's parity chains and their LAPACK binding use
+CONCURRENCY = ("threading", "concurrent", "ctypes", "multiprocessing", "_thread", "importlib")
 # the names of ``os`` that read the environment
 ENVIRONMENT = ("environ", "environb", "getenv")
 
@@ -193,8 +194,9 @@ def _imported_modules(tree):
 
 
 def test_threads_and_foreign_calls_stay_in_effective():
-    """Only ``effective`` starts a thread or calls LAPACK through ctypes, so
-    the concurrency stays in one place."""
+    """Only ``effective`` starts a thread, calls LAPACK through ctypes or
+    loads a module from its file, so the concurrency, and the one loader
+    that bypasses the import system's package imports, stay in one place."""
     found = sorted(
         f"{path.stem}: {name}" for path in MODULES if path.name != "effective.py"
         for name in _imported_modules(_tree(path))
