@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -159,10 +160,12 @@ def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         # Python floats format faster than NumPy scalars, to the same text;
-        # converting a block of rows at a time keeps few of them alive
+        # converting a block of rows at a time keeps few of them alive, and
+        # the block's lines are formatted by one % of the repeated line
         for lo in range(0, arrays[0].size, _CSV_ROWS):
-            for row in zip(*(a[lo:lo + _CSV_ROWS].tolist() for a in arrays)):
-                fh.write(line % row)
+            block = [a[lo:lo + _CSV_ROWS].tolist() for a in arrays]
+            values = tuple(itertools.chain.from_iterable(zip(*block)))
+            fh.write((line * len(block[0])) % values)
 
 
 def _write_json(path: Path, payload: dict):

@@ -203,13 +203,11 @@ def smoothed_density(sym: LineSpectrum, anti: LineSpectrum, energies, epsilon: f
     if grid.size == 0:
         raise ValueError("energy grid must be non-empty")
     lines, w00, wn0 = edge_lines(sym, anti)
-    # the cross weights enter a complex product, whose rounding (zgemv, not
-    # dgemv) the written rhoN0 columns carry
-    wn0 = wn0.astype(complex)
-    # the Lorentzian matrix block by block, each block a multiple of 4 rows and
-    # the last one taking the remainder, so that every row is summed as in one
-    # product over the whole grid: OpenBLAS's gemv kernels take rows in
-    # groups of 4, and a block of a single row would be summed another way
+    # both densities are real products (dgemv) of the Lorentzian matrix, taken
+    # block by block, each block a multiple of 4 rows and the last one taking
+    # the remainder, so that every row is summed as in one product over the
+    # whole grid: OpenBLAS's gemv kernels take rows in groups of 4, and a
+    # block of a single row would be summed another way
     rows = 4 * max(1, _DENSITY_BLOCK // (4 * lines.size))
     bounds = [*range(0, max(grid.size - rows, 1), rows), grid.size]
     rho00 = np.empty(grid.size)
@@ -217,5 +215,5 @@ def smoothed_density(sym: LineSpectrum, anti: LineSpectrum, energies, epsilon: f
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         lorentz = epsilon / (epsilon**2 + (grid[lo:hi, None] - lines[None, :]) ** 2)
         rho00[lo:hi] = lorentz @ w00 / np.pi
-        rhon0[lo:hi] = np.real(lorentz @ wn0 / np.pi)
+        rhon0[lo:hi] = lorentz @ wn0 / np.pi
     return rho00, rhon0

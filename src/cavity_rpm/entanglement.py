@@ -68,11 +68,35 @@ def noon_score(return_amp, transition_amp):
     superposition, 0.5 for a bare edge Fock state.  Scalars give a float,
     arrays of amplitudes an array of scores.
     """
-    c0 = np.abs(return_amp)
-    cn = np.abs(transition_amp)
+    return _score_moduli(np.abs(return_amp), np.abs(transition_amp))
+
+
+def _score_moduli(c0, cn):
+    """:func:`noon_score` of the moduli ``c0`` and ``cn``, after the check
+    that neither exceeds 1; the check fails on a NaN too."""
     if not (np.max(c0) <= 1.0 + AMPLITUDE_BOUND_TOL and np.max(cn) <= 1.0 + AMPLITUDE_BOUND_TOL):
         raise ValueError("amplitude moduli of normalized states cannot exceed 1")
     return (c0 + cn) ** 2 / 2.0
+
+
+def _bin_edges(bins: int) -> np.ndarray:
+    """The edges of ``bins`` equal bins over [0, 1]: ``np.histogram2d``'s inner
+    edges, flanked by -inf and +inf so that bin ``j`` holds
+    ``edges[j] <= x < edges[j + 1]`` and a modulus of 1 or above lies in the
+    last bin."""
+    return np.concatenate([[-math.inf], np.linspace(0.0, 1.0, bins + 1)[1:-1], [math.inf]])
+
+
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The bin of each modulus ``x`` (none NaN) among :func:`_bin_edges`'s
+    ``edges``, as ``np.searchsorted`` of the inner edges gives it: the floor
+    of ``x * bins`` is the bin or one off it, since the product and the edges
+    are rounded, and one comparison with each neighbouring edge settles it."""
+    bins = edges.size - 1
+    j = np.minimum((x * bins).astype(np.intp), bins - 1)
+    j -= x < edges[j]
+    j += x >= edges[j + 1]
+    return j
 
 
 def default_sampling_window(params: ModelParams, energies) -> tuple[float, float]:
@@ -133,9 +157,7 @@ def noon_statistics(
     """
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    # the inner edges of np.histogram2d's bins: a modulus of 1 or above
-    # lies right of all of them, in the last bin
-    inner_edges = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    edges = _bin_edges(bins)
     counts = np.zeros(bins * bins, dtype=np.int64)
     n_samples = 0
     best_score = -math.inf
@@ -146,10 +168,11 @@ def noon_statistics(
     for _, return_amp, transition_amp in _chunks(sym, anti, t_max, dt):
         c0 = np.abs(return_amp)
         cn = np.abs(transition_amp)
-        scores = noon_score(c0, cn)
-        row = np.searchsorted(inner_edges, c0, side="right")
+        # scored first: the bound check refuses a NaN before it is binned
+        scores = _score_moduli(c0, cn)
+        row = _bin_index(c0, edges)
         row *= bins
-        row += np.searchsorted(inner_edges, cn, side="right")
+        row += _bin_index(cn, edges)
         counts += np.bincount(row, minlength=counts.size)
         best = int(np.argmax(scores))
         # a later chunk takes the lead only with a strictly higher score, so

@@ -42,6 +42,23 @@ def test_csv_text_is_format_17g_of_every_value(tmp_path):
     assert path.read_bytes() == b"label,x\n0.25,0.10000000000000001\n-0,-0\n"
 
 
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
+def test_csv_blocks_read_as_one_line_per_row(tmp_path, rows):
+    """A block of rows formatted at once gives the text of formatting each row
+    by itself, across block boundaries, for text, -0, inf and nan too."""
+    rng = np.random.default_rng(rows)
+    special = np.array([-0.0, np.inf, np.nan, -np.inf, 0.0])
+    x = np.resize(special, rows)
+    y = rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
+    label = np.array([f"r{k}" for k in range(rows)], dtype=str)
+    path = tmp_path / "block.csv"
+    cli._write_csv(path, [("label", label), ("x", x), ("y", y)])
+    line = "%s,%.17g,%.17g\n"
+    expected = "label,x,y\n" + "".join(
+        line % row for row in zip(label.tolist(), x.tolist(), y.tolist()))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_spectrum_lines_frozen_and_deterministic(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -192,12 +209,32 @@ def test_harmonic_spectrum_beyond_n_1023(tmp_path):
     assert sidecar["diagnostics"]["harmonic"]["zero_weight_lines"] == 396
 
 
-def run_python(*args):
-    """A fresh interpreter with this package on its path."""
+def run_python(*args, **env):
+    """A fresh interpreter with this package on its path and the environment
+    variables ``env`` set."""
     src = str(Path(cavity_rpm.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": path, **env},
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("args", [
+    ("noon", "--N", "300"),
+    ("spectrum", "--compare", "--N", "3000", "--epsilon", "0.01"),
+], ids=["noon-n300", "spectrum-compare-n3000"])
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, args):
+    """The N00N statistics and the broadening products write the same bytes
+    under one and two OpenBLAS threads."""
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        probe = run_python("-c", "from cavity_rpm.cli import main; main()", *args,
+                           "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+        assert probe.returncode == 0, probe.stderr
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(written[0]) == 2
+    assert written[0] == written[1]
 
 
 # in a fresh interpreter: every command that solves a parity chain, then a
@@ -323,9 +360,11 @@ def test_dynamics_empty_window_writes_header_only(tmp_path):
     result = invoke("dynamics", "--model", "harmonic", "--N", 2, "--J", 0.8,
                     "--tmax", 0, "--out", tmp_path)
     assert result.exit_code == 0, result.output
-    content = (tmp_path / "dynamics_harmonic.csv").read_text().splitlines()
+    text = (tmp_path / "dynamics_harmonic.csv").read_text()
+    content = text.splitlines()
     assert len(content) == 1
     assert content[0].startswith("t,return_re")
+    assert text == content[0] + "\n"
 
 
 def test_noon_summary_and_histogram(tmp_path):

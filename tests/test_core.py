@@ -140,8 +140,7 @@ for points, lines in ((1, 3), (17, 5), (1297, 101), (2000, 101), (1985, 1001),
     grid = np.linspace(-60, 60, points)
     table, w00, wn0 = edge_lines(*halves)
     lorentz = eps / (eps**2 + (grid[:, None] - table[None, :]) ** 2)
-    # the cross density as the complex product that smoothed_density forms
-    direct = (lorentz @ w00 / np.pi, np.real(lorentz @ wn0.astype(complex) / np.pi))
+    direct = (lorentz @ w00 / np.pi, lorentz @ wn0 / np.pi)
     for got, want in zip(smoothed_density(*halves, grid, eps), direct):
         assert got.dtype == want.dtype == float, (points, lines)
         assert got.tobytes() == want.tobytes(), (points, lines)

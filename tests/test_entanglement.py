@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_rpm import dynamics, entanglement
 from cavity_rpm.core import ModelParams, edge_lines
@@ -207,10 +209,24 @@ def test_noon_histogram_from_half_sums_equals_direct_syntheses():
         hist.bins, reference_histogram((sym + anti) / 2, (sym - anti) / 2, 50))
 
 
+def adversarial_moduli(bins, rng):
+    """Every inner edge of ``bins`` bins over [0, 1] and its two neighbours on
+    each side, 0, 1, the double below 1, 1 + 1e-9 (the bound's tolerance) and
+    2000 random moduli."""
+    inner = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    below = np.nextafter(inner, 0.0)
+    above = np.nextafter(inner, 2.0)
+    return np.concatenate([inner, below, np.nextafter(below, 0.0), above,
+                           np.nextafter(above, 2.0),
+                           [0.0, 1.0, np.nextafter(1.0, 0.0), 1.0 + 1e-9],
+                           rng.random(2000)])
+
+
 def test_accumulated_histogram_bins_as_histogram2d(monkeypatch):
     """Chunk by chunk, the counts are np.histogram2d's over [0, 1]^2, moduli on
     every bin edge included; a modulus of 1, or a few ulp above it, lands in
-    the last bin."""
+    the last bin.  So do moduli two doubles either side of every inner edge,
+    along either axis, for 2, 3, 7, 50 and 997 bins."""
     bins = 7
     rng = np.random.default_rng(5)
     edges = np.linspace(0.0, 1.0, bins + 1)
@@ -220,6 +236,38 @@ def test_accumulated_histogram_bins_as_histogram2d(monkeypatch):
     hist, _, _ = streamed(monkeypatch, c0 + 0j, -1j * cn, chunks=9, bins=bins)
     assert np.array_equal(hist.bins, reference_histogram(c0, cn, bins))
     assert hist.n_samples == c0.size
+    for bins in (2, 3, 7, 50, 997):
+        c0 = adversarial_moduli(bins, rng)
+        cn = rng.permutation(c0)
+        hist, _, _ = streamed(monkeypatch, c0 + 0j, -1j * cn, chunks=3, bins=bins)
+        assert np.array_equal(hist.bins, reference_histogram(c0, cn, bins)), bins
+        assert hist.n_samples == c0.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(bins=st.integers(2, 4096),
+       moduli=st.lists(st.floats(0.0, 1.0 + 1e-9), min_size=1, max_size=20),
+       edge=st.floats(0.0, 1.0), step=st.integers(-2, 2))
+def test_bin_index_equals_searchsorted(bins, moduli, edge, step):
+    """The arithmetic bin index equals np.searchsorted of the inner edges for
+    any modulus in [0, 1 + 1e-9], and for an edge moved by up to two doubles
+    either way."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    near = edges[round(edge * bins)]
+    for _ in range(abs(step)):
+        near = np.nextafter(near, step)
+    x = np.array([*moduli, min(max(near, 0.0), 1.0 + 1e-9)])
+    np.testing.assert_array_equal(entanglement._bin_index(x, entanglement._bin_edges(bins)),
+                                  np.searchsorted(edges[1:-1], x, side="right"))
+
+
+def test_nan_modulus_is_refused_before_binning(monkeypatch):
+    """A NaN modulus fails the bound check of the scores, which run before
+    the binning, so it never reaches the integer bin index."""
+    with pytest.raises(ValueError, match="cannot exceed 1"):
+        streamed(monkeypatch, [0.5, math.nan, 0.1], [0.1, 0.2, 0.3], bins=5)
+    with pytest.raises(ValueError, match="cannot exceed 1"):
+        streamed(monkeypatch, [0.5, 0.2, 0.1], [0.1, complex(0.0, math.nan), 0.3], bins=5)
 
 
 def test_scores_tied_across_chunks_keep_the_earliest_sample(monkeypatch):
