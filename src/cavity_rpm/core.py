@@ -132,13 +132,17 @@ class LineSpectrum:
             raise ValueError("energies and weights must be 1-d arrays of equal length")
         if energies.size == 0:
             raise ValueError("a spectrum needs at least one line")
-        if not np.all(np.diff(energies) > 0):
+        # a NaN fails the comparison, so it is refused here, before the
+        # finiteness test, which the endpoints of a strictly ascending array
+        # pass only if every energy between them passes it too
+        if not (energies[1:] > energies[:-1]).all():
             raise ValueError("energies must be strictly ascending")
-        if not np.all(np.isfinite(energies)):
+        if not (math.isfinite(energies[0]) and math.isfinite(energies[-1])):
             raise ValueError("line energies overflowed: they must be finite")
-        if not np.all(weights >= -1e-14):
+        # the smallest weight is NaN if any weight is, and fails as well
+        if not weights.min() >= -1e-14:
             raise ValueError("weights must be non-negative")
-        total = float(np.sum(weights))
+        total = float(weights.sum())
         if not abs(total - 1.0) <= DIAGONAL_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         object.__setattr__(self, "energies", energies)
@@ -174,6 +178,27 @@ class AmplitudeSeries:
         return int(self.times.size)
 
 
+def _merge_equal_levels(energies: np.ndarray, *weights: np.ndarray):
+    """``(levels, *sums)``: ``energies`` sorted, with neighbours equal in
+    floating point taken as one level, and each array of ``weights`` summed
+    over each level.  The one merge rule of the package's line spectra:
+    bit for bit the levels of ``np.unique(energies, return_inverse=True)``
+    and the sums of ``np.bincount`` over its inverse, for energies without
+    NaN, where a level of ``-0.0`` and ``0.0`` takes the sign that NumPy's
+    default sort puts first."""
+    order = energies.argsort()
+    ordered = energies[order]
+    apart = ordered[1:] != ordered[:-1]
+    if apart.all():
+        # every level alone, its weight summed as bincount sums it, from 0.0,
+        # which makes a weight of -0.0 read 0.0
+        return (ordered, *(w[order] + 0.0 for w in weights))
+    first = np.concatenate([[True], apart])
+    row = np.empty(energies.size, dtype=np.intp)
+    row[order] = np.cumsum(first) - 1
+    return (ordered[first], *(np.bincount(row, w) for w in weights))
+
+
 def edge_lines(sym: LineSpectrum, anti: LineSpectrum):
     """The table ``(energies, weight00, weightN0)`` of the parity halves.
 
@@ -183,9 +208,10 @@ def edge_lines(sym: LineSpectrum, anti: LineSpectrum):
     summed: lines of the two halves that lie close together, such as an edge
     doublet, stay two rows.
     """
-    energies, row = np.unique(np.concatenate([sym.energies, anti.energies]), return_inverse=True)
-    w00 = np.bincount(row, np.concatenate([sym.weights, anti.weights]) / 2)
-    wn0 = np.bincount(row, np.concatenate([sym.weights, -anti.weights]) / 2)
+    energies, w00, wn0 = _merge_equal_levels(
+        np.concatenate([sym.energies, anti.energies]),
+        np.concatenate([sym.weights, anti.weights]) / 2,
+        np.concatenate([sym.weights, -anti.weights]) / 2)
     # + 0 makes an energy of -0.0 read 0.0
     return energies + 0, w00, wn0
 

@@ -40,6 +40,7 @@ from .core import (
     LineSpectrum,
     ModelParams,
     NumericalFailureError,
+    _merge_equal_levels,
     _readonly,
 )
 
@@ -84,15 +85,15 @@ class SectorHamiltonian:
         h = np.asarray(self.offdiag, dtype=float)
         if d.ndim != 1 or h.shape != (d.size - 1,):
             raise ValueError("diagonal needs N+1 entries and off-diagonal N entries")
-        largest = (float(np.max(np.abs(d))), float(np.max(np.abs(h), initial=0.0)))
+        largest = (float(np.abs(d).max()), float(np.abs(h).max(initial=0.0)))
         # NaN as well as infinity: a term beyond double range makes an entry
         # infinite, and two such terms of opposite sign make it NaN
         if not all(map(math.isfinite, largest)):
             raise ValueError("sector matrix overflowed: its entries must be finite")
         atol = 1e-12 * max(1.0, *largest)
-        if not float(np.max(np.abs(d - d[::-1]))) <= atol:
+        if not float(np.abs(d - d[::-1]).max()) <= atol:
             raise ValueError("diagonal breaks cavity-exchange symmetry")
-        if not float(np.max(np.abs(h - h[::-1]), initial=0.0)) <= atol:
+        if not float(np.abs(h - h[::-1]).max(initial=0.0)) <= atol:
             raise ValueError("off-diagonal breaks cavity-exchange symmetry")
         object.__setattr__(self, "diag", _readonly(d))
         object.__setattr__(self, "offdiag", _readonly(h))
@@ -114,7 +115,9 @@ class EigenDecomposition:
         v = np.asarray(self.vectors, dtype=float)
         if v.shape != (e.size, e.size):
             raise ValueError("vectors must be square with one column per energy")
-        if not np.all(np.diff(e) >= 0):
+        # a difference, not a comparison: inf - inf is NaN, so equal
+        # infinities are refused as well as a NaN
+        if not (e[1:] - e[:-1] >= 0).all():
             raise ValueError("energies must be ascending")
         object.__setattr__(self, "energies", _readonly(e))
         object.__setattr__(self, "vectors", _readonly(v))
@@ -154,8 +157,11 @@ def _merge_close_levels(energies: np.ndarray, w00: np.ndarray, wn0: np.ndarray):
     """Cluster ascending ``energies`` whose consecutive gaps fall below
     ``MERGE_RTOL * max(1, |E|)`` into one level, at the mean of its members,
     and sum both weight arrays over each cluster."""
-    starts = np.flatnonzero(
-        np.diff(energies) > MERGE_RTOL * np.maximum(1.0, np.abs(energies[1:]))) + 1
+    apart = energies[1:] - energies[:-1] > MERGE_RTOL * np.maximum(1.0, np.abs(energies[1:]))
+    if apart.all():
+        # no cluster, the usual case: every level alone
+        return energies + 0, w00 + 0, wn0 + 0
+    starts = np.flatnonzero(apart) + 1
     boundaries = np.concatenate([[0], starts, [energies.size]])
     # a level alone keeps its values, with -0.0 made 0.0 (+ 0) as a NumPy
     # mean or sum of one term makes it; only clusters of several levels take
@@ -259,16 +265,24 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, vectors: bool):
     # LAPACK reads n - 1 couplings whatever the buffer holds
     if energies.ndim != 1 or off.shape != (max(n - 1, 0),):
         raise ValueError("a tridiagonal matrix needs n diagonal and n - 1 off-diagonal entries")
-    # dstevd writes each eigenvector as a Fortran column, a row of this
-    # C-ordered array: z.T holds them as columns
-    z = np.empty((n, n) if vectors else (1, 1))
-    work = np.empty(1 + 4 * n + n * n if vectors else 1)
-    iwork = np.empty(3 + 5 * n if vectors else 1, dtype=np.intc)
+    # every buffer is made per call: two calls run at once on two threads
+    if vectors:
+        # dstevd writes each eigenvector as a Fortran column, a row of this
+        # C-ordered array: z.T holds them as columns
+        z = np.empty((n, n))
+        work = np.empty(1 + 4 * n + n * n)
+        iwork = np.empty(3 + 5 * n, dtype=np.intc)
+        workspace = (_first(z), max(1, n), _first(work), work.size,
+                     _first(iwork, ctypes.c_int), iwork.size)
+    else:
+        # dsterf reads no eigenvector array, and dstevd writes only the
+        # first entry of each workspace: a ctypes scalar each, no array
+        workspace = (ctypes.c_double(), 1, ctypes.c_double(), 1, ctypes.c_int(), 1)
+    z_first, ldz, work_first, lwork, iwork_first, liwork = workspace
     info = ctypes.c_int()
     _lapack_dstevd()(b"V" if vectors else b"N", ctypes.c_int(n), _first(energies),
-                     _first(off), _first(z), ctypes.c_int(max(1, z.shape[0])), _first(work),
-                     ctypes.c_int(work.size), _first(iwork, ctypes.c_int),
-                     ctypes.c_int(iwork.size), info)
+                     _first(off), z_first, ctypes.c_int(ldz), work_first, ctypes.c_int(lwork),
+                     iwork_first, ctypes.c_int(liwork), info)
     if info.value != 0:
         raise NumericalFailureError(
             f"tridiagonal eigensolver failed: LAPACK dstevd info={info.value}")
@@ -298,7 +312,7 @@ def _edge_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
     n = lam.size
     # a power of two brings the largest entry into [1/2, 1): exact, and the
     # ratios do not depend on it, so no coupling squared leaves double range
-    shift = -math.frexp(max(np.max(np.abs(d)), np.max(np.abs(e))))[1]
+    shift = -math.frexp(max(abs(d).max(), abs(e).max()))[1]
     d = np.ldexp(d, shift).tolist()
     e2 = np.square(np.ldexp(e, shift)).tolist()
     x = np.ldexp(lam, shift)
@@ -340,7 +354,7 @@ def _solved_chain(d: np.ndarray, e: np.ndarray):
     ``(d, e)``: the chain itself, or the chain without its first state where
     that state is decoupled (J = 0, or a chain of one state) and so an
     eigenvector."""
-    return (d[1:], e[1:]) if not np.any(e[:1]) else (d, e)
+    return (d[1:], e[1:]) if not e[:1].any() else (d, e)
 
 
 def _chain_lines(d: np.ndarray, e: np.ndarray, lam: np.ndarray):
@@ -353,7 +367,7 @@ def _chain_lines(d: np.ndarray, e: np.ndarray, lam: np.ndarray):
         lam, first = np.unique(np.concatenate([d[:1], lam]), return_index=True)
         return lam, np.where(first == 0, 1.0, 0.0)
     weights = _edge_weights(d, e, lam)
-    total = float(np.sum(weights))
+    total = float(weights.sum())
     if not abs(total - 1.0) <= DIAGONAL_SUM_TOL:
         raise NumericalFailureError(
             f"parity-chain edge weights sum to {total!r}: the chain's eigenvalues "
@@ -370,7 +384,7 @@ def _parity_chains(h: SectorHamiltonian):
     m = n // 2
     # eigenvalue errors scale with the largest entry, so take out the offset
     # the whole diagonal shares; the pivots and differences do not depend on it
-    centre = 0.5 * (float(np.min(h.diag)) + float(np.max(h.diag)))
+    centre = 0.5 * (float(h.diag.min()) + float(h.diag.max()))
     d = h.diag - centre
     e = h.offdiag
     if n % 2 == 0:
@@ -435,6 +449,5 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
         # eigenvalues resolved apart can round to one double once the centre
         # is added back: one line with their summed weight, the rule of
         # edge_lines and harmonic_line_spectra
-        levels, row = np.unique(lam + centre, return_inverse=True)
-        halves.append(LineSpectrum(levels, np.bincount(row, weights)))
+        halves.append(LineSpectrum(*_merge_equal_levels(lam + centre, weights)))
     return tuple(halves)

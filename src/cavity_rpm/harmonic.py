@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AmplitudeSeries, LineSpectrum, ModelParams
+from .core import AmplitudeSeries, LineSpectrum, ModelParams, _merge_equal_levels
 
 __all__ = ["harmonic_line_spectra", "harmonic_amplitudes"]
 
@@ -39,11 +39,9 @@ def harmonic_line_spectra(params: ModelParams) -> tuple[LineSpectrum, LineSpectr
         # doubled after the quotient, so that halving it back is exact
         weights[i] = 2.0 * (binomial / total)
         binomial = binomial * (n - i) // (i + 1)
-    halves = []
-    for parity in (n % 2, 1 - n % 2):
-        levels, row = np.unique(energies[parity::2], return_inverse=True)
-        halves.append(LineSpectrum(levels, np.bincount(row, weights[parity::2])))
-    return tuple(halves)
+    return tuple(
+        LineSpectrum(*_merge_equal_levels(energies[parity::2], weights[parity::2]))
+        for parity in (n % 2, 1 - n % 2))
 
 
 def harmonic_amplitudes(params: ModelParams, times) -> tuple[AmplitudeSeries, AmplitudeSeries]:

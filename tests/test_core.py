@@ -18,6 +18,7 @@ from cavity_rpm.core import (
     AmplitudeSeries,
     LineSpectrum,
     ModelParams,
+    _merge_equal_levels,
     edge_lines,
     smoothed_density,
 )
@@ -163,15 +164,22 @@ def test_blocked_broadening_is_bit_identical_to_one_product():
 
 
 def test_line_spectrum_invariants():
-    with pytest.raises(ValueError, match="sum to 1"):
-        LineSpectrum(energies=[0.0, 1.0], weights=[0.5, 0.6])
-    with pytest.raises(ValueError, match="non-negative"):
-        LineSpectrum(energies=[0.0, 1.0], weights=[-0.5, 1.5])
-    with pytest.raises(ValueError, match="ascending"):
-        LineSpectrum(energies=[1.0, 1.0], weights=[0.5, 0.5])
+    for weights in ([0.5, 0.6], [0.5, 0.5 + 2e-10]):
+        with pytest.raises(ValueError, match="sum to 1"):
+            LineSpectrum(energies=[0.0, 1.0], weights=weights)
+    for weights in ([-0.5, 1.5], [-2e-14, 1.0 + 2e-14]):
+        with pytest.raises(ValueError, match="non-negative"):
+            LineSpectrum(energies=[0.0, 1.0], weights=weights)
+    # a weight of -1e-14 is rounding, and a sum within 1e-10 of one is one
+    LineSpectrum(energies=[0.0, 1.0], weights=[-1e-14, 1.0 + 1e-14])
+    LineSpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5 + 5e-11])
+    for energies in ([1.0, 1.0], [math.inf, math.inf], [0.0, 2.0, 1.0]):
+        with pytest.raises(ValueError, match="ascending"):
+            LineSpectrum(energies=energies, weights=[1.0] + [0.0] * (len(energies) - 1))
     with pytest.raises(ValueError, match="at least one"):
         LineSpectrum(energies=[], weights=[])
-    for energies in ([math.inf], [0.0, math.inf], [-math.inf, 0.0]):
+    for energies in ([math.inf], [0.0, math.inf], [-math.inf, 0.0], [-math.inf, math.inf],
+                     [-math.inf, 0.0, 1.0, math.inf]):
         with pytest.raises(ValueError, match="overflowed"):
             LineSpectrum(energies=energies, weights=[1.0] + [0.0] * (len(energies) - 1))
     spec = LineSpectrum(energies=[0.0, 1.0], weights=[0.25, 0.75])
@@ -181,10 +189,15 @@ def test_line_spectrum_invariants():
 
 @pytest.mark.parametrize("make, message", [
     (lambda: LineSpectrum(energies=[0.0, math.nan], weights=[0.5, 0.5]), "ascending"),
+    (lambda: LineSpectrum(energies=[math.nan, 0.0], weights=[0.5, 0.5]), "ascending"),
+    (lambda: LineSpectrum(energies=[0.0, math.nan, 1.0], weights=[0.5, 0.0, 0.5]), "ascending"),
+    (lambda: LineSpectrum(energies=[math.nan], weights=[1.0]), "overflowed"),
     (lambda: LineSpectrum(energies=[0.0, 1.0], weights=[math.nan, 0.5]), "non-negative"),
+    (lambda: LineSpectrum(energies=[0.0, 1.0], weights=[0.5, math.nan]), "non-negative"),
     (lambda: AmplitudeSeries(times=[0.0, 1.0, 2.0], values=[math.nan, 0.0, 0.0]), "modulus"),
     (lambda: AmplitudeSeries(times=[0.0, math.nan, 2.0], values=[0.0, 0.0, 0.0]), "uniform"),
-], ids=["line-energy", "line-weight", "amplitude-value", "amplitude-time"])
+], ids=["line-energy", "line-energy-first", "line-energy-middle", "line-energy-alone",
+        "line-weight", "line-weight-last", "amplitude-value", "amplitude-time"])
 def test_invariant_types_reject_nan(make, message):
     """Every invariant holds positively, so a NaN fails it instead of passing."""
     with pytest.raises(ValueError, match=message):
@@ -211,6 +224,35 @@ def test_line_spectrum_copies_what_a_caller_can_still_write():
     owned = np.array([0.0, 2.0])
     owned.flags.writeable = False
     assert LineSpectrum(energies=owned, weights=[0.5, 0.5]).energies is owned
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from([-math.inf, -2.5, -0.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52, 3.0, math.inf]),
+    st.sampled_from([-0.0, 0.0, 1e-300, 0.25, -0.5, 1.0, 1e16, -1e16]),
+    st.sampled_from([-0.0, 0.0, 0.125, -3.0]),
+), min_size=1, max_size=200), st.sampled_from(["as drawn", "ascending", "descending"]))
+@example([(-0.0, -0.0, -0.0)], "as drawn")
+# summed in the order given, from 0.0, the weights of this level make 0.0
+@example([(2.5, 1.0, 0.0), (2.5, 1e16, 0.0), (2.5, -1e16, 0.0)], "as drawn")
+@example([(0.0, 0.25, 1.0), (-0.0, -0.0, -0.0), (0.0, 0.5, -3.0)], "as drawn")
+@example([(math.inf, 1.0, 0.0), (-math.inf, 0.0, 1.0), (math.inf, 0.25, -0.0)], "descending")
+def test_level_merge_is_bit_identical_to_unique_and_bincount(lines, order):
+    """The one level merge gives the levels of ``np.unique`` and the sums of
+    ``np.bincount`` over its inverse, bit for bit: a level of -0.0 and 0.0
+    takes the sign that NumPy puts first, and a weight of -0.0 alone reads
+    0.0, as bincount sums from 0.0."""
+    energies, w00, wn0 = (np.array(column) for column in zip(*lines))
+    if order != "as drawn":
+        permutation = np.argsort(energies, kind="stable")
+        if order == "descending":
+            permutation = permutation[::-1]
+        energies, w00, wn0 = energies[permutation], w00[permutation], wn0[permutation]
+    levels, row = np.unique(energies, return_inverse=True)
+    want = levels, np.bincount(row, w00), np.bincount(row, wn0)
+    got = _merge_equal_levels(energies, w00, wn0)
+    _assert_same_bits(got, want)
+    for a, b in zip(got, want):
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_edge_lines_halve_the_weights_and_merge_across_halves():

@@ -137,8 +137,12 @@ def test_decomposition_rejects_bad_input():
         EigenDecomposition(energies=[0.0, 1.0], vectors=np.eye(3))
     # the oracle's clustering reads consecutive gaps, so descending input
     # would fall into one line
-    with pytest.raises(ValueError, match="ascending"):
-        EigenDecomposition(energies=[1.0, 0.0], vectors=np.eye(2))
+    # equal infinities too, which a comparison e[1:] >= e[:-1] would take;
+    # their difference is NaN, with NumPy's invalid-value warning
+    for energies in ([1.0, 0.0], [math.inf, math.inf], [-math.inf, -math.inf],
+                     [0.0, math.nan]):
+        with pytest.raises(ValueError, match="ascending"), np.errstate(invalid="ignore"):
+            EigenDecomposition(energies=energies, vectors=np.eye(2))
 
 
 def test_weights_do_not_depend_on_eigenvector_signs():

@@ -216,3 +216,16 @@ def test_no_module_reads_the_environment():
             and any(a.name in ENVIRONMENT for a in node.names))
     )
     assert found == []
+
+
+def test_only_core_merges_equal_levels():
+    """Line spectra merge levels equal in floating point by one rule, core's
+    ``_merge_equal_levels``: no other module calls ``np.unique`` with
+    ``return_inverse`` to merge them its own way."""
+    found = sorted(
+        f"{path.stem}:{node.lineno}" for path in MODULES if path.name != "core.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unique" and any(k.arg == "return_inverse" for k in node.keywords)
+    )
+    assert found == []

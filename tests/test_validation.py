@@ -125,6 +125,33 @@ def test_nan_recursion_fails_the_mirror_check(monkeypatch):
     assert math.isnan(result.data["max_deviation"])
 
 
+@pytest.mark.parametrize("route", ["recursion", "oracle"])
+def test_nan_fails_the_herglotz_check(monkeypatch, route):
+    """A NaN from the recursion at one point, or a NaN line weight in the
+    oracle's sum over all points at once, fails the check and is reported."""
+    if route == "recursion":
+        original = rpm.rpm_resolvent
+
+        def nan_resolvent(params, z):
+            a, b = original(params, z)
+            a[3] = complex(math.nan, math.nan)
+            return a, b
+
+        monkeypatch.setattr(rpm, "rpm_resolvent", nan_resolvent)
+    else:
+        original = validation._edge_spectra
+
+        def nan_weight(params):
+            energies, w00, wn0 = original(params)
+            w00[-1] = math.nan
+            return energies, w00, wn0
+
+        monkeypatch.setattr(validation, "_edge_spectra", nan_weight)
+    result = validation.check_herglotz()
+    assert result.passed is False
+    assert math.isnan(result.data["min_imag"])
+
+
 def test_nan_depth_sample_is_the_first_failure(monkeypatch):
     original = rpm.rpm_walk
 
