@@ -188,12 +188,7 @@ def _merge_equal_levels(energies: np.ndarray, *weights: np.ndarray):
     default sort puts first."""
     order = energies.argsort()
     ordered = energies[order]
-    apart = ordered[1:] != ordered[:-1]
-    if apart.all():
-        # every level alone, its weight summed as bincount sums it, from 0.0,
-        # which makes a weight of -0.0 read 0.0
-        return (ordered, *(w[order] + 0.0 for w in weights))
-    first = np.concatenate([[True], apart])
+    first = np.concatenate([[True], ordered[1:] != ordered[:-1]])
     row = np.empty(energies.size, dtype=np.intp)
     row[order] = np.cumsum(first) - 1
     return (ordered[first], *(np.bincount(row, w) for w in weights))

@@ -265,24 +265,16 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, vectors: bool):
     # LAPACK reads n - 1 couplings whatever the buffer holds
     if energies.ndim != 1 or off.shape != (max(n - 1, 0),):
         raise ValueError("a tridiagonal matrix needs n diagonal and n - 1 off-diagonal entries")
-    # every buffer is made per call: two calls run at once on two threads
-    if vectors:
-        # dstevd writes each eigenvector as a Fortran column, a row of this
-        # C-ordered array: z.T holds them as columns
-        z = np.empty((n, n))
-        work = np.empty(1 + 4 * n + n * n)
-        iwork = np.empty(3 + 5 * n, dtype=np.intc)
-        workspace = (_first(z), max(1, n), _first(work), work.size,
-                     _first(iwork, ctypes.c_int), iwork.size)
-    else:
-        # dsterf reads no eigenvector array, and dstevd writes only the
-        # first entry of each workspace: a ctypes scalar each, no array
-        workspace = (ctypes.c_double(), 1, ctypes.c_double(), 1, ctypes.c_int(), 1)
-    z_first, ldz, work_first, lwork, iwork_first, liwork = workspace
+    # dstevd writes each eigenvector as a Fortran column, a row of this
+    # C-ordered array: z.T holds them as columns
+    z = np.empty((n, n) if vectors else (1, 1))
+    work = np.empty(1 + 4 * n + n * n if vectors else 1)
+    iwork = np.empty(3 + 5 * n if vectors else 1, dtype=np.intc)
     info = ctypes.c_int()
     _lapack_dstevd()(b"V" if vectors else b"N", ctypes.c_int(n), _first(energies),
-                     _first(off), z_first, ctypes.c_int(ldz), work_first, ctypes.c_int(lwork),
-                     iwork_first, ctypes.c_int(liwork), info)
+                     _first(off), _first(z), ctypes.c_int(max(1, z.shape[0])), _first(work),
+                     ctypes.c_int(work.size), _first(iwork, ctypes.c_int),
+                     ctypes.c_int(iwork.size), info)
     if info.value != 0:
         raise NumericalFailureError(
             f"tridiagonal eigensolver failed: LAPACK dstevd info={info.value}")
