@@ -420,7 +420,7 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
             "times": transfer,
             "version": __version__,
         })
-        extra["first_transfer"] = str(transfer_path)
+        extra["first_transfer"] = transfer_path.name
     _write_json(csv_path.with_suffix(".json"), _sidecar("dynamics", cfg, extra))
     click.echo(f"wrote {csv_path}")
 

@@ -158,9 +158,6 @@ def _merge_close_levels(energies: np.ndarray, w00: np.ndarray, wn0: np.ndarray):
     ``MERGE_RTOL * max(1, |E|)`` into one level, at the mean of its members,
     and sum both weight arrays over each cluster."""
     apart = energies[1:] - energies[:-1] > MERGE_RTOL * np.maximum(1.0, np.abs(energies[1:]))
-    if apart.all():
-        # no cluster, the usual case: every level alone
-        return energies + 0, w00 + 0, wn0 + 0
     starts = np.flatnonzero(apart) + 1
     boundaries = np.concatenate([[0], starts, [energies.size]])
     # a level alone keeps its values, with -0.0 made 0.0 (+ 0) as a NumPy
@@ -352,12 +349,15 @@ def _solved_chain(d: np.ndarray, e: np.ndarray):
 def _chain_lines(d: np.ndarray, e: np.ndarray, lam: np.ndarray):
     """Eigenvalues of the chain ``(d, e)`` and the squared first components
     of its eigenvectors (:func:`_edge_weights`), from the eigenvalues ``lam``
-    of its :func:`_solved_chain`."""
+    of its :func:`_solved_chain`; unsorted where the first state is
+    decoupled."""
     if lam.size < d.size:
-        # the first state is decoupled, and the pivot sweep would read 0/0.
-        # Sorted, with coinciding levels (all of them at g = 0) taken as one
-        lam, first = np.unique(np.concatenate([d[:1], lam]), return_index=True)
-        return lam, np.where(first == 0, 1.0, 0.0)
+        # the first state is decoupled, an eigenvector of weight 1, and the
+        # pivot sweep would read 0/0.  The merge of parity_chain_spectra sorts
+        # the levels and takes coinciding ones (all of them at g = 0) as one
+        weights = np.zeros(d.size)
+        weights[0] = 1.0
+        return np.concatenate([d[:1], lam]), weights
     weights = _edge_weights(d, e, lam)
     total = float(weights.sum())
     if not abs(total - 1.0) <= DIAGONAL_SUM_TOL:

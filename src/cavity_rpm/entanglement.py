@@ -35,7 +35,6 @@ class JointHistogram:
     """Normalized B x B histogram of (|c0|, |cN|) over [0,1]^2."""
 
     bins: np.ndarray
-    n_samples: int
 
     def __post_init__(self):
         b = np.asarray(self.bins, dtype=float)
@@ -151,7 +150,8 @@ def noon_statistics(
     ``bins x bins`` histogram of ``(|c0|, |cN|)`` over ``[0, 1]^2``
     (``np.histogram2d``'s bins, a modulus of 1 or a few ulp above it in the
     last one), the summary of :func:`noon_score` (the best score, the time of
-    its earliest sample, the fraction above ``threshold``) and the means of
+    its earliest sample, the fraction above ``threshold`` and the sample
+    count, the only one the result holds) and the means of
     ``|c0|^2`` and ``|cN|^2``.  The bin count and the window are checked
     before any synthesis.
     """
@@ -184,8 +184,7 @@ def noon_statistics(
         sum_c0_sq += float(np.sum(np.square(c0, out=c0)))
         sum_cn_sq += float(np.sum(np.square(cn, out=cn)))
         n_samples += c0.size
-    histogram = JointHistogram(bins=counts.reshape(bins, bins) / n_samples,
-                               n_samples=n_samples)
+    histogram = JointHistogram(bins=counts.reshape(bins, bins) / n_samples)
     feasibility = NoonFeasibility(
         max_score=best_score,
         # the time of sample k as the grid arange(n) * dt holds it

@@ -127,26 +127,22 @@ def _descend(params: ModelParams, z: np.ndarray) -> Iterator[tuple[int, np.ndarr
         yield k + 1, a, b
 
 
-def rpm_walk(params: ModelParams, z) -> Iterator[tuple[int, complex | np.ndarray,
-                                                         complex | np.ndarray]]:
+def rpm_walk(params: ModelParams, z) -> Iterator[tuple[int, np.complex128 | np.ndarray,
+                                                         np.complex128 | np.ndarray]]:
     """Yield ``(k, a, b)`` at every depth k from 0 through N//2.
 
     ``a`` is the diagonal resolvent element on either member of pair ``k``
     of the chain truncated at that pair; ``b`` is the element crossing the
     pair.  Depth 0 is the centre state at even N, where both equal its
-    resolvent 1/(z - f(0)), and the centre pair at odd N.
-    ``z`` is a complex scalar, giving complex ``a`` and ``b``, or an array,
-    giving a fresh copy of each of shape ``z.shape`` at every depth.  The
-    last depth is :func:`rpm_resolvent` at the same ``z``, bit for bit.
-    Used for validation and failure localization; grid evaluation goes
-    through :func:`rpm_resolvent`.
+    resolvent 1/(z - f(0)), and the centre pair at odd N.  ``a`` and ``b``
+    are fresh arrays of ``z``'s shape at every depth, NumPy ``complex128``
+    scalars for a scalar ``z``.  The last depth is :func:`rpm_resolvent` at
+    the same ``z``, bit for bit.  Used for validation and failure
+    localization; grid evaluation goes through :func:`rpm_resolvent`.
     """
     zs = np.asarray(z, dtype=complex)
     for k, a, b in _descend(params, zs.ravel()):
-        if zs.ndim == 0:
-            yield k, complex(a[0]), complex(b[0])
-        else:
-            yield k, a.reshape(zs.shape).copy(), b.reshape(zs.shape).copy()
+        yield k, a.reshape(zs.shape).copy()[()], b.reshape(zs.shape).copy()[()]
 
 
 def rpm_resolvent(params: ModelParams, z):
@@ -160,8 +156,9 @@ def rpm_resolvent(params: ModelParams, z):
 
     Returns
     -------
-    (a, b) : complex scalars or arrays
-        ``a = <N,0|(z-H)^-1|N,0>`` and ``b = <0,N|(z-H)^-1|N,0>``.
+    (a, b) : complex arrays of ``z``'s shape
+        ``a = <N,0|(z-H)^-1|N,0>`` and ``b = <0,N|(z-H)^-1|N,0>``; NumPy
+        ``complex128`` scalars for a scalar ``z``.
 
     Raises
     ------
@@ -182,9 +179,7 @@ def rpm_resolvent(params: ModelParams, z):
     # off the real axis a is never 0, but reads 0 where its denominator overflowed
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(a != 0)):
         raise NumericalFailureError("the pair recursion overflowed; evaluate nearer the spectrum")
-    if zs.ndim == 0:
-        return complex(a[0]), complex(b[0])
-    return a.reshape(zs.shape), b.reshape(zs.shape)
+    return a.reshape(zs.shape)[()], b.reshape(zs.shape)[()]
 
 
 def rpm_spectra(params: ModelParams, energies, epsilon: float):

@@ -125,18 +125,28 @@ def test_rpm_density_counts_underflowed_cross_points(tmp_path):
 
 
 def test_dynamics_with_first_transfer(tmp_path):
-    result = invoke("dynamics", "--model", "anharmonic-oracle", "--N", 6,
-                    "--g", 1.2, "--J", 0.8, "--tmax", 10, "--dt", 0.01,
-                    "--compare", "--first-transfer", "--out", tmp_path)
-    assert result.exit_code == 0, result.output
-    header = (tmp_path / "dynamics_anharmonic-oracle.csv").read_text().splitlines()[0]
+    """The same run into two directories writes the same bytes: the sidecar
+    names the first-transfer file, not its path."""
+    written = []
+    for out in (tmp_path / "o1", tmp_path / "o2" / "deeper"):
+        result = invoke("dynamics", "--model", "anharmonic-oracle", "--N", 6,
+                        "--g", 1.2, "--J", 0.8, "--tmax", 10, "--dt", 0.01,
+                        "--compare", "--first-transfer", "--out", out)
+        assert result.exit_code == 0, result.output
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert written[0] == written[1]
+    files = written[0]
+    assert sorted(files) == ["dynamics_anharmonic-oracle.csv",
+                             "dynamics_anharmonic-oracle.json", "first_transfer.json"]
+    header = files["dynamics_anharmonic-oracle.csv"].decode().splitlines()[0]
     assert header.startswith("t,return_re,return_im,return_abs,transition_re")
     assert "harmonic_return_re" in header
-    transfer = json.loads((tmp_path / "first_transfer.json").read_text())
+    transfer = json.loads(files["first_transfer.json"])
     assert set(transfer["times"]) == {"anharmonic-oracle", "harmonic"}
     assert 0.0 < transfer["times"]["harmonic"] < 10.0
-    diagnostics = json.loads((tmp_path / "dynamics_anharmonic-oracle.json").read_text())[
-        "diagnostics"]
+    sidecar = json.loads(files["dynamics_anharmonic-oracle.json"])
+    assert sidecar["first_transfer"] == "first_transfer.json"
+    diagnostics = sidecar["diagnostics"]
     assert set(diagnostics) == {"anharmonic-oracle", "harmonic"}
     assert diagnostics["anharmonic-oracle"]["lines"] == 7
     assert abs(diagnostics["anharmonic-oracle"]["weight_sum_defect"]) < 1e-12

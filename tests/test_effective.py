@@ -1,5 +1,6 @@
 """Sector Hamiltonian assembly and exact diagonalization."""
 
+import itertools
 import math
 import threading
 import tracemalloc
@@ -17,6 +18,7 @@ from cavity_rpm.core import (
     LineSpectrum,
     ModelParams,
     NumericalFailureError,
+    _merge_equal_levels,
     edge_lines,
 )
 from cavity_rpm.effective import (
@@ -508,6 +510,38 @@ def test_parity_chain_weights_equal_the_where_form(n, g, j, omega0):
     _, *chains = effective._parity_chains(h)
     for d, e in chains:
         _assert_sweep_matches_the_where_form(d, e)
+
+
+def unique_form_halves(h):
+    """The parity halves with a decoupled first state merged, sorted, by
+    ``np.unique(..., return_index=True)`` before core's merge: the reference
+    for ``_chain_lines``, which leaves that merge to core alone."""
+    centre, *chains = effective._parity_chains(h)
+    halves = []
+    for d, e in chains:
+        lam = effective._chain_eigenvalues(*effective._solved_chain(d, e))
+        if lam.size < d.size:
+            lam, first = np.unique(np.concatenate([d[:1], lam]), return_index=True)
+            weights = np.where(first == 0, 1.0, 0.0)
+        else:
+            lam, weights = effective._chain_lines(d, e, lam)
+        halves.append(_merge_equal_levels(lam + centre, weights))
+    return halves
+
+
+def test_decoupled_chains_equal_the_unique_form_bit_for_bit():
+    """Where J = 0, or a chain holds one state, the first state is an
+    eigenvector of its own.  Core's merge of its level with the solved
+    chain's gives the bits of the ``np.unique`` form, signed zeros included,
+    over N = 1..41 and every combination of the parameters below."""
+    for n, g, j, omega0, sigma in itertools.product(
+            range(1, 42), (0.0, 1.2, -0.7, 1e-9), (0.0, 1e-17, 0.8), (0.0, -0.0, 1.0, -3.0),
+            (1, -1)):
+        params = ModelParams(n_photons=n, omega0=omega0, g=g, j_tun=j, sigma=sigma)
+        h = build_sector_hamiltonian(params)
+        for half, (energies, weights) in zip(parity_chain_spectra(h), unique_form_halves(h)):
+            assert half.energies.tobytes() == energies.tobytes(), params
+            assert half.weights.tobytes() == weights.tobytes(), params
 
 
 @pytest.mark.parametrize("j", [1e-300, 1e300])

@@ -50,10 +50,11 @@ def streamed(monkeypatch, return_amp, transition_amp, chunks=1, dt=0.1, **kwargs
 
 
 def test_histogram_of_constant_series_fills_one_bin(monkeypatch):
-    hist, _, means = streamed(monkeypatch, np.ones(100), np.zeros(100), chunks=3, bins=10)
+    hist, feasibility, means = streamed(monkeypatch, np.ones(100), np.zeros(100), chunks=3,
+                                        bins=10)
     assert hist.bins[9, 0] == 1.0
     assert float(hist.bins.sum()) == 1.0
-    assert hist.n_samples == 100
+    assert feasibility.n_samples == 100
     assert hist.bin_width == 0.1
     assert means == (1.0, 0.0)
 
@@ -71,21 +72,20 @@ def test_histogram_validation(monkeypatch):
 
 def test_joint_histogram_invariants():
     good = np.full((4, 4), 1.0 / 16.0)
-    JointHistogram(bins=good, n_samples=16)
+    JointHistogram(bins=good)
     with pytest.raises(ValueError):
-        JointHistogram(bins=good * 2.0, n_samples=16)
+        JointHistogram(bins=good * 2.0)
     with pytest.raises(ValueError):
-        JointHistogram(bins=np.full((4, 3), 1.0 / 12.0), n_samples=12)
+        JointHistogram(bins=np.full((4, 3), 1.0 / 12.0))
     bad = good.copy()
     bad[0, 0] = -good[0, 0]
     bad[1, 1] += 2 * good[0, 0]
     with pytest.raises(ValueError):
-        JointHistogram(bins=bad, n_samples=16)
+        JointHistogram(bins=bad)
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: JointHistogram(bins=np.array([[math.nan, 0.25], [0.25, 0.5]]),
-                            n_samples=4), "negative"),
+    (lambda: JointHistogram(bins=np.array([[math.nan, 0.25], [0.25, 0.5]])), "negative"),
     (lambda: noon_score(math.nan, 0.0), "exceed 1"),
     (lambda: noon_score([0.5, 0.5], [0.1, complex(math.nan, 0.0)]), "exceed 1"),
 ], ids=["histogram-bin", "score-return", "score-transition"])
@@ -96,7 +96,7 @@ def test_invariants_reject_nan(make, message):
 
 
 def test_bin_centers():
-    hist = JointHistogram(bins=np.full((4, 4), 1.0 / 16.0), n_samples=16)
+    hist = JointHistogram(bins=np.full((4, 4), 1.0 / 16.0))
     np.testing.assert_allclose(hist.bin_centers(), [0.125, 0.375, 0.625, 0.875])
 
 
@@ -233,15 +233,15 @@ def test_accumulated_histogram_bins_as_histogram2d(monkeypatch):
     c0 = np.concatenate([edges, [1.0 + 1e-12, 1.0], rng.random(500)])
     cn = np.concatenate([edges[::-1], [0.0, 1.0 + 4e-16], rng.random(500)])
     # complex amplitudes whose moduli are c0 and cn exactly
-    hist, _, _ = streamed(monkeypatch, c0 + 0j, -1j * cn, chunks=9, bins=bins)
+    hist, feasibility, _ = streamed(monkeypatch, c0 + 0j, -1j * cn, chunks=9, bins=bins)
     assert np.array_equal(hist.bins, reference_histogram(c0, cn, bins))
-    assert hist.n_samples == c0.size
+    assert feasibility.n_samples == c0.size
     for bins in (2, 3, 7, 50, 997):
         c0 = adversarial_moduli(bins, rng)
         cn = rng.permutation(c0)
-        hist, _, _ = streamed(monkeypatch, c0 + 0j, -1j * cn, chunks=3, bins=bins)
+        hist, feasibility, _ = streamed(monkeypatch, c0 + 0j, -1j * cn, chunks=3, bins=bins)
         assert np.array_equal(hist.bins, reference_histogram(c0, cn, bins)), bins
-        assert hist.n_samples == c0.size
+        assert feasibility.n_samples == c0.size
 
 
 @settings(max_examples=300, deadline=None)
@@ -320,7 +320,7 @@ def test_streamed_statistics_equal_those_of_the_series(monkeypatch, source, chun
     scores = noon_score(ret.values, tra.values)
     monkeypatch.setattr(dynamics, "_CHUNK_BLOCKS", chunk)
     hist, feasibility, means = noon_statistics(*halves, t_max, dt, bins=20, threshold=0.55)
-    assert hist.n_samples == feasibility.n_samples == 6001
+    assert feasibility.n_samples == 6001
     np.testing.assert_array_equal(hist.bins, reference_histogram(ret.values, tra.values, 20))
     best = float(np.max(scores))
     assert abs(feasibility.max_score - best) <= 8 * np.finfo(float).eps * best
@@ -345,7 +345,7 @@ def test_statistics_equal_those_of_the_chunk_moduli(monkeypatch, source, chunk):
     c0, cn = chunk_moduli(halves, t_max, dt)
     scores = noon_score(c0, cn)
     hist, feasibility, means = noon_statistics(*halves, t_max, dt, bins=20, threshold=0.55)
-    assert hist.n_samples == feasibility.n_samples == c0.size == 6001
+    assert feasibility.n_samples == c0.size == 6001
     np.testing.assert_array_equal(hist.bins, reference_histogram(c0, cn, 20))
     assert feasibility.max_score == float(np.max(scores))
     assert feasibility.argmax_time == np.argmax(scores) * dt
@@ -375,9 +375,9 @@ def test_default_noon_statistics_stream_in_little_memory():
     t_max, dt = default_sampling_window(params, edge_lines(*halves)[0])
     tracemalloc.start()
     try:
-        hist, _, _ = noon_statistics(*halves, t_max, dt)
+        _, feasibility, _ = noon_statistics(*halves, t_max, dt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert hist.n_samples == 2_000_030
+    assert feasibility.n_samples == 2_000_030
     assert peak < 40e6

@@ -221,11 +221,26 @@ def test_no_module_reads_the_environment():
 def test_only_core_merges_equal_levels():
     """Line spectra merge levels equal in floating point by one rule, core's
     ``_merge_equal_levels``: no other module calls ``np.unique`` with
-    ``return_inverse`` to merge them its own way."""
+    ``return_inverse`` or ``return_index`` to merge them its own way."""
     found = sorted(
         f"{path.stem}:{node.lineno}" for path in MODULES if path.name != "core.py"
         for node in ast.walk(_tree(path))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "unique" and any(k.arg == "return_inverse" for k in node.keywords)
+        and node.func.attr == "unique"
+        and any(k.arg in ("return_inverse", "return_index") for k in node.keywords)
+    )
+    assert found == []
+
+
+def test_scalars_and_arrays_take_one_path():
+    """No module compares ``.ndim`` with 0 to give a scalar input a return of
+    its own: ``[()]`` makes a 0-d result a NumPy scalar on the arrays' path."""
+    found = sorted(
+        f"{path.stem}:{node.lineno}" for path in MODULES for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(x, ast.Attribute) and x.attr == "ndim"
+                for x in (node.left, *node.comparators))
+        and any(isinstance(x, ast.Constant) and x.value == 0
+                for x in (node.left, *node.comparators))
     )
     assert found == []

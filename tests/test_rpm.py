@@ -236,12 +236,28 @@ def test_walk_matches_dense_central_blocks_at_every_depth():
     walk = list(rpm_walk(params, z))
     assert [k for k, _, _ in walk] == list(range(m + 1))
     for k, a, b in walk:
-        assert type(a) is complex and type(b) is complex
+        assert type(a) is np.complex128 and type(b) is np.complex128
         # pairs 0..k are the central states m-k .. m+k
         block = h[m - k:m + k + 1, m - k:m + k + 1]
         x = np.linalg.solve(z * np.eye(2 * k + 1) - block, np.eye(2 * k + 1)[:, 0])
         assert abs(a - x[0]) <= 1e-12 * abs(x[0])
         assert abs(b - x[2 * k]) <= 1e-12 * max(abs(x[2 * k]), 1e-280)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 14])
+def test_a_scalar_z_gives_the_one_element_result_as_a_numpy_scalar(n):
+    """At every depth of the walk, and from the resolvent, a scalar ``z``
+    gives ``np.complex128`` values with the bits of a one-element grid's."""
+    params = ModelParams(n_photons=n, omega0=1.0, g=-0.7, j_tun=0.6, sigma=1)
+    z = 3.0 - 0.4j
+    walk = list(rpm_walk(params, z))
+    grid_walk = list(rpm_walk(params, np.array([z])))
+    assert len(walk) == len(grid_walk) == n // 2 + 1
+    results = [(a, b, a1, b1) for (_, a, b), (_, a1, b1) in zip(walk, grid_walk)]
+    results.append((*rpm_resolvent(params, z), *rpm_resolvent(params, np.array([z]))))
+    for a, b, a1, b1 in results:
+        assert type(a) is np.complex128 and type(b) is np.complex128
+        assert np.array([a, b]).tobytes() == np.concatenate([a1, b1]).tobytes()
 
 
 @pytest.mark.parametrize("n", [10**4, 10**4 + 1])
