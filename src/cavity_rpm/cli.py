@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -92,10 +93,17 @@ _CSV_ROWS = 1024
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
+
+    def unique_keys(pairs):
+        repeated = sorted(key for key, count in Counter(k for k, _ in pairs).items() if count > 1)
+        if repeated:
+            raise ValueError(f"{path}: duplicate config keys: {', '.join(repeated)}")
+        return dict(pairs)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-    except OSError as exc:
+            loaded = json.load(fh, object_pairs_hook=unique_keys)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
@@ -175,11 +183,15 @@ def _write_json(path: Path, payload: dict):
         fh.write(text + "\n")
 
 
-def _sidecar(command: str, cfg: dict, extra: dict | None = None) -> dict:
-    payload = {"command": command, "version": __version__, "config": cfg}
-    if extra:
-        payload.update(extra)
-    return payload
+def _emit(out_path: Path, stem: str, columns, command: str, cfg: dict, extra: dict):
+    """Write ``stem.csv`` of ``columns`` and its sidecar ``stem.json``, which
+    echoes the command, version and resolved config with ``extra``, and
+    report the CSV on stdout."""
+    csv_path = out_path / f"{stem}.csv"
+    _write_csv(csv_path, columns)
+    _write_json(csv_path.with_suffix(".json"),
+                {"command": command, "version": __version__, "config": cfg, **extra})
+    click.echo(f"wrote {csv_path}")
 
 
 def _require(model: str, test, message: str):
@@ -203,15 +215,17 @@ def _densities(model: str, params: ModelParams, grid: np.ndarray, epsilon: float
     return smoothed_density(*_line_spectra(model, params), grid, epsilon)
 
 
-def _diagnostics(halves, lines) -> dict:
-    """Deterministic figures of the parity ``halves`` and their
-    :func:`edge_lines` table ``lines``, for the sidecars: the table's lines,
-    its exact-zero ``weight00`` (underflow, or a line the edge state does not
-    reach) and the departure of their sum from one, and that of each half's
-    weights."""
-    energies, w00, _ = lines
+def _lines(model: str, params: ModelParams):
+    """``(halves, table, diagnostics)``: the model's parity halves, their
+    :func:`edge_lines` table, and its deterministic figures for the sidecars:
+    the table's lines, its exact-zero ``weight00`` (underflow, or a line the
+    edge state does not reach) and the departure of their sum from one, and
+    that of each half's weights."""
+    halves = _line_spectra(model, params)
+    table = edge_lines(*halves)
+    energies, w00, _ = table
     sym, anti = (float(np.sum(half.weights)) - 1.0 for half in halves)
-    return {
+    return halves, table, {
         "lines": int(energies.size),
         "zero_weight_lines": int(np.count_nonzero(w00 == 0)),
         "weight_sum_defect": float(np.sum(w00)) - 1.0,
@@ -225,6 +239,13 @@ def _density_diagnostics(rhon0) -> dict:
     the pair recursion's cross element ``b`` having underflowed there."""
     zeros = rhon0.size - np.count_nonzero(rhon0)
     return {"points": int(rhon0.size), "zero_cross_points": int(zeros)}
+
+
+def _window(cfg: dict, default: tuple[float, float]) -> tuple[float, float]:
+    """``(t_max, dt)``: the config's ``tmax`` and ``dt`` where set, else ``default``'s."""
+    t_default, dt_default = default
+    return (t_default if cfg["tmax"] is None else float(cfg["tmax"]),
+            dt_default if cfg["dt"] is None else float(cfg["dt"]))
 
 
 def _energy_grid(cfg: dict, params: ModelParams, model: str) -> np.ndarray:
@@ -325,38 +346,32 @@ def spectrum(config_path, out, compare, **flag_values):
         grid = _energy_grid(cfg, params, "anharmonic-rpm")
         r00, rn0 = _densities("anharmonic-rpm", params, grid, cfg["epsilon"])
         o00, on0 = _densities("anharmonic-oracle", params, grid, cfg["epsilon"])
-        csv_path = out_path / "spectrum_compare.csv"
-        _write_csv(csv_path, [
-            ("energy", grid),
-            ("rho00_rpm", r00), ("rhoN0_rpm", rn0),
-            ("rho00_oracle", o00), ("rhoN0_oracle", on0),
-        ])
         report = {
             "linf_rho00": float(np.max(np.abs(r00 - o00))),
             "linf_rhoN0": float(np.max(np.abs(rn0 - on0))),
             "grid_points": int(grid.size),
         }
-        _write_json(csv_path.with_suffix(".json"), _sidecar("spectrum", cfg, {
+        _emit(out_path, "spectrum_compare", [
+            ("energy", grid),
+            ("rho00_rpm", r00), ("rhoN0_rpm", rn0),
+            ("rho00_oracle", o00), ("rhoN0_oracle", on0),
+        ], "spectrum", cfg, {
             "compare": report,
             "diagnostics": {"anharmonic-rpm": _density_diagnostics(rn0)},
-        }))
-        click.echo(f"wrote {csv_path}")
+        })
         return
-    model, extra = cfg["model"], None
-    csv_path = out_path / f"spectrum_{model}.csv"
+    model, extra = cfg["model"], {}
     if cfg["epsilon"] is None:
-        halves = _line_spectra(model, params)
-        lines = edge_lines(*halves)
-        _write_csv(csv_path, list(zip(("energy", "weight00", "weightN0"), lines)))
-        extra = {"diagnostics": {model: _diagnostics(halves, lines)}}
+        _, table, diagnostics = _lines(model, params)
+        columns = list(zip(("energy", "weight00", "weightN0"), table))
+        extra = {"diagnostics": {model: diagnostics}}
     else:
         grid = _energy_grid(cfg, params, model)
         rho00, rhon0 = _densities(model, params, grid, cfg["epsilon"])
-        _write_csv(csv_path, [("energy", grid), ("rho00", rho00), ("rhoN0", rhon0)])
+        columns = [("energy", grid), ("rho00", rho00), ("rhoN0", rhon0)]
         if MODELS[model].lines is None:
             extra = {"diagnostics": {model: _density_diagnostics(rhon0)}}
-    _write_json(csv_path.with_suffix(".json"), _sidecar("spectrum", cfg, extra))
-    click.echo(f"wrote {csv_path}")
+    _emit(out_path, f"spectrum_{model}", columns, "spectrum", cfg, extra)
 
 
 def _amplitude_columns(prefix: str, ret, tra) -> list[tuple[str, np.ndarray]]:
@@ -381,9 +396,7 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
     _require(cfg["model"], lambda m: m.lines is not None,
              "dynamics needs a line-resolved model ({})")
     out_path = _out_dir(out)
-    t_default, dt_default = default_time_grid(params)
-    t_max = t_default if cfg["tmax"] is None else float(cfg["tmax"])
-    dt = dt_default if cfg["dt"] is None else float(cfg["dt"])
+    t_max, dt = _window(cfg, default_time_grid(params))
     if t_max < 0:
         raise ValueError(f"tmax must be >= 0, got {t_max}")
     if not dt > 0:
@@ -394,24 +407,21 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
     # the harmonic baseline, whatever the model
     if compare and cfg["model"] != "harmonic":
         models.append("harmonic")
-    csv_path = out_path / f"dynamics_{cfg['model']}.csv"
     prefixes = dict(zip(models, ("", "harmonic_")))
     transfer: dict[str, float | None] = {}
     diagnostics: dict[str, dict] = {}
     if t_max == 0:
         names = ["t"] + [prefixes[m] + c for m in models for c in AMPLITUDE_SUFFIXES]
-        _write_csv(csv_path, [(name, ()) for name in names])
+        columns = [(name, ()) for name in names]
     else:
-        columns: list[tuple[str, np.ndarray]] = []
+        columns = []
         for model in models:
-            halves = _line_spectra(model, params)
-            diagnostics[model] = _diagnostics(halves, edge_lines(*halves))
+            halves, _, diagnostics[model] = _lines(model, params)
             ret, tra = evolve(*halves, t_max, dt)
             if not columns:
                 columns.append(("t", ret.times))
             columns += _amplitude_columns(prefixes[model], ret, tra)
             transfer[model] = first_transfer_time(tra, cfg["transfer_threshold"])
-        _write_csv(csv_path, columns)
     extra = {"t_max": t_max, "dt": dt, "diagnostics": diagnostics}
     if first_transfer:
         transfer_path = out_path / "first_transfer.json"
@@ -421,23 +431,26 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
             "version": __version__,
         })
         extra["first_transfer"] = transfer_path.name
-    _write_json(csv_path.with_suffix(".json"), _sidecar("dynamics", cfg, extra))
-    click.echo(f"wrote {csv_path}")
+    _emit(out_path, f"dynamics_{cfg['model']}", columns, "dynamics", cfg, extra)
 
 
 def _noon_single(cfg: dict, params: ModelParams):
+    """``(columns, extra)`` of the N00N histogram CSV of ``cfg`` and of its sidecar."""
     model = cfg["model"]
     _require(model, lambda m: m.sector and m.lines is not None,
              "noon statistics need sector line spectra; use model {}")
-    halves = _line_spectra(model, params)
-    lines = edge_lines(*halves)
-    t_auto, dt_auto = default_sampling_window(params, lines[0])
-    t_max = t_auto if cfg["tmax"] is None else float(cfg["tmax"])
-    dt = dt_auto if cfg["dt"] is None else float(cfg["dt"])
+    halves, (energies, w00, wn0), diagnostics = _lines(model, params)
+    t_max, dt = _window(cfg, default_sampling_window(params, energies))
     hist, feasibility, (c0_sq, cn_sq) = noon_statistics(
         *halves, t_max, dt, int(cfg["bins"]), cfg["noon_threshold"])
-    _, w00, wn0 = lines
-    return hist, {
+    # each centre's text once, written as it is in every row that holds it
+    centers = np.array(["%.17g" % c for c in hist.bin_centers().tolist()])
+    columns = [
+        ("c0_center", np.repeat(centers, hist.size)),
+        ("cN_center", np.tile(centers, hist.size)),
+        ("mass", hist.bins.ravel()),
+    ]
+    return columns, {
         "summary": {**dataclasses.asdict(feasibility), "t_max": t_max, "dt": dt},
         # the sampled long-time means against the exact ones over distinct
         # energies; they part where the window is short of the slowest beat
@@ -445,23 +458,9 @@ def _noon_single(cfg: dict, params: ModelParams):
             "abs_c0_sq": {"sampled": c0_sq, "exact": float(np.sum(w00 * w00))},
             "abs_cN_sq": {"sampled": cn_sq, "exact": float(np.sum(wn0 * wn0))},
         },
-        "diagnostics": {model: _diagnostics(halves, lines)},
+        "diagnostics": {model: diagnostics},
+        "metadata": {"axes": "moduli", "bins": hist.size, "bin_width": hist.bin_width},
     }
-
-
-def _write_noon(out_path: Path, cfg: dict, suffix: str, hist, extra: dict):
-    # each centre's text once, written as it is in every row that holds it
-    centers = np.array(["%.17g" % c for c in hist.bin_centers().tolist()])
-    c0 = np.repeat(centers, hist.size)
-    cn = np.tile(centers, hist.size)
-    csv_path = out_path / f"noon_{cfg['model']}{suffix}.csv"
-    _write_csv(csv_path, [
-        ("c0_center", c0), ("cN_center", cn), ("mass", hist.bins.ravel()),
-    ])
-    metadata = {"axes": "moduli", "bins": hist.size, "bin_width": hist.bin_width}
-    _write_json(csv_path.with_suffix(".json"),
-                _sidecar("noon", cfg, {**extra, "metadata": metadata}))
-    return csv_path
 
 
 @main.command()
@@ -476,9 +475,9 @@ def noon(config_path, out, **flag_values):
         raise ValueError("sweep_n must be a non-empty list of photon numbers")
     cfgs = [cfg] if sweep is None else [{**cfg, "N": int(n), "sweep_n": None} for n in sweep]
     results = [_noon_single(c, _params(c)) for c in cfgs]
-    for sub_cfg, result in zip(cfgs, results):
+    for sub_cfg, (columns, extra) in zip(cfgs, results):
         suffix = "" if sweep is None else f"_N{sub_cfg['N']}"
-        click.echo(f"wrote {_write_noon(out_path, sub_cfg, suffix, *result)}")
+        _emit(out_path, f"noon_{sub_cfg['model']}{suffix}", columns, "noon", sub_cfg, extra)
 
 
 @main.command()
@@ -493,7 +492,8 @@ def validate(config_path, out, **flag_values):
         raise ValueError("checks must be a non-empty list of check names")
     report = run_checks(names)
     report_path = out_path / "validation_report.json"
-    _write_json(report_path, _sidecar("validate", cfg, report.as_dict()))
+    _write_json(report_path, {"command": "validate", "version": __version__, "config": cfg,
+                              **report.as_dict()})
     for result in report.results:
         status = "pass" if result.passed else "FAIL"
         click.echo(f"{status}  {result.name}: {result.detail}")

@@ -278,8 +278,11 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, vectors: bool):
     return energies, z.T if vectors else None
 
 
-def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return _eigh_tridiagonal(d, e, vectors=False)[0]
+def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray | None:
+    """Ascending eigenvalues of the chain ``(d, e)``, or None where it has no
+    coupling (J = 0, or a chain of one state): a diagonal chain needs no
+    eigensolve."""
+    return _eigh_tridiagonal(d, e, vectors=False)[0] if e.any() else None
 
 
 def _edge_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -338,26 +341,17 @@ def _edge_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.ldexp(np.abs(weights), exponents)
 
 
-def _solved_chain(d: np.ndarray, e: np.ndarray):
-    """The chain whose eigenvalues :func:`_chain_lines` takes for the chain
-    ``(d, e)``: the chain itself, or the chain without its first state where
-    that state is decoupled (J = 0, or a chain of one state) and so an
-    eigenvector."""
-    return (d[1:], e[1:]) if not e[:1].any() else (d, e)
-
-
-def _chain_lines(d: np.ndarray, e: np.ndarray, lam: np.ndarray):
+def _chain_lines(d: np.ndarray, e: np.ndarray, lam: np.ndarray | None):
     """Eigenvalues of the chain ``(d, e)`` and the squared first components
-    of its eigenvectors (:func:`_edge_weights`), from the eigenvalues ``lam``
-    of its :func:`_solved_chain`; unsorted where the first state is
-    decoupled."""
-    if lam.size < d.size:
-        # the first state is decoupled, an eigenvector of weight 1, and the
-        # pivot sweep would read 0/0.  The merge of parity_chain_spectra sorts
-        # the levels and takes coinciding ones (all of them at g = 0) as one
+    of its eigenvectors (:func:`_edge_weights`), from its
+    :func:`_chain_eigenvalues` ``lam``."""
+    if lam is None:
+        # a diagonal chain: its diagonal, unsorted, is its eigenvalues, and
+        # its first state carries weight 1.  The merge of parity_chain_spectra
+        # sorts the levels and takes coinciding ones (all of them at g = 0) as one
         weights = np.zeros(d.size)
         weights[0] = 1.0
-        return np.concatenate([d[:1], lam]), weights
+        return d, weights
     weights = _edge_weights(d, e, lam)
     total = float(weights.sum())
     if not abs(total - 1.0) <= DIAGONAL_SUM_TOL:
@@ -404,7 +398,8 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
     one eigensolve gives the eigenvalues, and one pivot sweep of the chain
     without its first row, run at all of them at once, gives the weights
     (:func:`_edge_weights`): two eigensolves in all, time O(N^2), memory
-    O(N).  From ``_CONCURRENT_ROWS`` rows of the symmetric chain on, a
+    O(N).  A chain with no coupling (J = 0, or a chain of one state) is
+    diagonal and takes neither.  From ``_CONCURRENT_ROWS`` rows of the symmetric chain on, a
     worker thread solves it while the calling thread solves the
     antisymmetric one; the worker is joined, and its error re-raised, before
     the call returns.  Both paths give the same bytes.  Below the threshold,
@@ -421,9 +416,8 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
         resolve them.
     """
     centre, sym, anti = _parity_chains(h)
-    solved = [_solved_chain(*chain) for chain in (sym, anti)]
     if sym[0].size < _CONCURRENT_ROWS:
-        eigenvalues = [_chain_eigenvalues(*chain) for chain in solved]
+        eigenvalues = [_chain_eigenvalues(*chain) for chain in (sym, anti)]
     else:
         # imported here: it adds milliseconds to the package's import, and
         # no call below the threshold needs it
@@ -432,8 +426,8 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
         # the eigensolves release the GIL: a worker solves the symmetric
         # chain while this thread solves the antisymmetric one
         with ThreadPoolExecutor(max_workers=1) as pool:
-            future = pool.submit(_chain_eigenvalues, *solved[0])
-            anti_eigenvalues = _chain_eigenvalues(*solved[1])
+            future = pool.submit(_chain_eigenvalues, *sym)
+            anti_eigenvalues = _chain_eigenvalues(*anti)
             eigenvalues = [future.result(), anti_eigenvalues]
     halves = []
     for chain, chain_eigenvalues in zip((sym, anti), eigenvalues):

@@ -615,6 +615,28 @@ def test_unknown_config_key_rejected(tmp_path):
     assert "modle" in result.output
 
 
+def test_config_that_is_not_utf8_is_named(tmp_path):
+    config = tmp_path / "latin1.json"
+    config.write_bytes('{"model": "harmonic", "note": "\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "out"
+    result = invoke("spectrum", "--config", config, "--out", out)
+    assert result.exit_code == 2
+    assert f"cannot read config {config}: 'utf-8' codec can't decode" in result.output
+    assert not out.exists()
+
+
+def test_config_key_given_twice_is_refused_by_name(tmp_path):
+    """JSON leaves a repeated key to the reader; taking the last value would
+    run silently on a config that says two things."""
+    config = tmp_path / "twice.json"
+    config.write_text('{"N": 4, "g": 0.5, "N": 5, "g": 0.5, "J": 0.1}')
+    out = tmp_path / "out"
+    result = invoke("spectrum", "--config", config, "--out", out)
+    assert result.exit_code == 2
+    assert result.output == f"error: {config}: duplicate config keys: N, g\n"
+    assert not out.exists()
+
+
 def test_near_pole_evaluation_exits_3(tmp_path):
     config = tmp_path / "pole.json"
     config.write_text(json.dumps({"grid": [2.0, 2.001], "points": 2}))

@@ -463,8 +463,7 @@ def where_form_chain_weights(d, e):
 
 def chain_lines(d, e):
     """``_chain_lines`` of the chain ``(d, e)`` with its own eigensolve."""
-    lam = effective._chain_eigenvalues(*effective._solved_chain(d, e))
-    return effective._chain_lines(d, e, lam)
+    return effective._chain_lines(d, e, effective._chain_eigenvalues(d, e))
 
 
 def _assert_sweep_matches_the_where_form(d, e):
@@ -513,18 +512,20 @@ def test_parity_chain_weights_equal_the_where_form(n, g, j, omega0):
 
 
 def unique_form_halves(h):
-    """The parity halves with a decoupled first state merged, sorted, by
-    ``np.unique(..., return_index=True)`` before core's merge: the reference
-    for ``_chain_lines``, which leaves that merge to core alone."""
+    """The parity halves with a decoupled first state (J = 0, or a chain of
+    one state) merged, sorted, by ``np.unique(..., return_index=True)`` with
+    the eigenvalues of the chain without that state, before core's merge:
+    the reference for ``_chain_lines``, which takes a decoupled chain's
+    diagonal as it stands and leaves the merge to core alone."""
     centre, *chains = effective._parity_chains(h)
     halves = []
     for d, e in chains:
-        lam = effective._chain_eigenvalues(*effective._solved_chain(d, e))
-        if lam.size < d.size:
-            lam, first = np.unique(np.concatenate([d[:1], lam]), return_index=True)
+        if not e[:1].any():
+            rest = effective._eigh_tridiagonal(d[1:], e[1:], vectors=False)[0]
+            lam, first = np.unique(np.concatenate([d[:1], rest]), return_index=True)
             weights = np.where(first == 0, 1.0, 0.0)
         else:
-            lam, weights = effective._chain_lines(d, e, lam)
+            lam, weights = chain_lines(d, e)
         halves.append(_merge_equal_levels(lam + centre, weights))
     return halves
 
@@ -542,6 +543,28 @@ def test_decoupled_chains_equal_the_unique_form_bit_for_bit():
         for half, (energies, weights) in zip(parity_chain_spectra(h), unique_form_halves(h)):
             assert half.energies.tobytes() == energies.tobytes(), params
             assert half.weights.tobytes() == weights.tobytes(), params
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 2 * effective._CONCURRENT_ROWS,
+                               2 * effective._CONCURRENT_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, None], ids=["threaded", "default"])
+def test_an_uncoupled_chain_runs_no_eigensolve(monkeypatch, n, rows):
+    """At J = 0 each parity chain is diagonal: its diagonal gives its lines,
+    with no eigensolve, on the threaded path and on the default one (serial
+    below ``_CONCURRENT_ROWS`` rows of the symmetric chain, threaded from
+    there on), and the bits are those of the ``np.unique`` form."""
+    h = build_sector_hamiltonian(ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=0.0))
+    reference = unique_form_halves(h)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(effective, "_eigh_tridiagonal", refused)
+    if rows is not None:
+        monkeypatch.setattr(effective, "_CONCURRENT_ROWS", rows)
+    for half, (energies, weights) in zip(parity_chain_spectra(h), reference):
+        assert half.energies.tobytes() == energies.tobytes()
+        assert half.weights.tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("j", [1e-300, 1e300])

@@ -104,7 +104,7 @@ def _public_definitions(tree):
 
 # each public definition named like an attribute of np.ndarray, whose reads a
 # name match cannot tell from the arrays', and the function that reads it
-ARRAY_NAMED = {"entanglement.JointHistogram.size": "cli._write_noon"}
+ARRAY_NAMED = {"entanglement.JointHistogram.size": "cli._noon_single"}
 
 
 def _reads_attribute(caller, name):
@@ -244,3 +244,16 @@ def test_scalars_and_arrays_take_one_path():
                 for x in (node.left, *node.comparators))
     )
     assert found == []
+
+
+def test_one_function_writes_the_csv_files():
+    """Every CSV leaves through ``cli._emit``, which also writes its sidecar
+    and reports it: ``_write_csv`` has that one caller in the package."""
+    callers = sorted(
+        f"{path.stem}.{top.name}" if isinstance(top, _FUNCTIONS) else f"{path.stem}:{node.lineno}"
+        for path in MODULES for top in _tree(path).body for node in ast.walk(top)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "_write_csv"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "_write_csv")
+    )
+    assert callers == ["cli._emit"]
