@@ -13,6 +13,9 @@ __all__ = ["evolve", "first_transfer_time", "default_time_grid"]
 TRANSFER_FLOOR = 1e-6
 # blocks of the synthesis evaluated at once, as one matrix product
 _CHUNK_BLOCKS = 64
+# lines summed by one matrix product of a chunk: BLAS may split a longer sum
+# among its threads, in an order that depends on their count
+_PRODUCT_LINES = 64
 # the largest time grid: 2^30 samples, over 500 times the default noon
 # window, whose chunks of 64 blocks of 2^15 samples still fit in memory
 _MAX_SAMPLES = 2**30
@@ -73,9 +76,12 @@ def _block_sums(energies: np.ndarray, weights: np.ndarray, n: int, dt: float, ce
 
     A chunk holds ``_CHUNK_BLOCKS`` blocks, and the last one also the partial
     block at the end, so that no chunk is shorter than a block.  Each chunk
-    is one matrix product of its phasors, a row per block, with the ``L x B``
+    is the matrix product of its phasors, a row per block, with the ``L x B``
     table; the partial block rides in the last product and is cut to its
-    samples.  A row's last bits depend on the row count of its product.
+    samples.  The lines are summed in blocks of ``_PRODUCT_LINES``, one
+    matrix product each, added in line order, so that no BLAS thread count
+    changes the order of the sum.  A row's last bits depend on the row count
+    of its product.
     Takes any number of lines, none included (the sums are then zero).
     Lines of zero weight add nothing and are skipped.
     """
@@ -94,7 +100,10 @@ def _block_sums(energies: np.ndarray, weights: np.ndarray, n: int, dt: float, ce
         # phasors at each block's own first time k dt, as arange(n) * dt gives it
         starts = np.arange(first * block, stop, block)
         phasors = weights * np.exp(-1j * np.outer(starts * dt, shifted))
-        yield (phasors @ table).reshape(-1)[:stop - first * block]
+        sums = phasors[:, :_PRODUCT_LINES] @ table[:_PRODUCT_LINES]
+        for lo in range(_PRODUCT_LINES, shifted.size, _PRODUCT_LINES):
+            sums += phasors[:, lo:lo + _PRODUCT_LINES] @ table[lo:lo + _PRODUCT_LINES]
+        yield sums.reshape(-1)[:stop - first * block]
 
 
 def _common_phase(centre: float, times: np.ndarray) -> np.ndarray:

@@ -229,13 +229,19 @@ def run_python(*args, **env):
                           capture_output=True, text=True, timeout=120)
 
 
+DYNAMICS_WINDOW = ("--g", "1.2", "--J", "0.8", "--tmax", "10", "--dt", "0.01")
+
+
 @pytest.mark.parametrize("args", [
     ("noon", "--N", "300"),
     ("spectrum", "--compare", "--N", "3000", "--epsilon", "0.01"),
-], ids=["noon-n300", "spectrum-compare-n3000"])
+    ("dynamics", "--model", "anharmonic-oracle", "--N", "300", *DYNAMICS_WINDOW),
+    ("dynamics", "--model", "anharmonic-oracle", "--N", "3000", *DYNAMICS_WINDOW),
+], ids=["noon-n300", "spectrum-compare-n3000", "dynamics-n300", "dynamics-n3000"])
 def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, args):
-    """The N00N statistics and the broadening products write the same bytes
-    under one and two OpenBLAS threads."""
+    """The N00N statistics, the broadening products and the time synthesis
+    of 151 and 1501 lines per parity half write the same bytes under one and
+    two OpenBLAS threads."""
     written = []
     for threads in ("1", "2"):
         out = tmp_path / threads
