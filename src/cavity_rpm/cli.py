@@ -99,7 +99,6 @@ def _load_config(path: str | None) -> dict:
         if repeated:
             raise ValueError(f"{path}: duplicate config keys: {', '.join(repeated)}")
         return dict(pairs)
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh, object_pairs_hook=unique_keys)
@@ -184,9 +183,8 @@ def _write_json(path: Path, payload: dict):
 
 
 def _emit(out_path: Path, stem: str, columns, command: str, cfg: dict, extra: dict):
-    """Write ``stem.csv`` of ``columns`` and its sidecar ``stem.json``, which
-    echoes the command, version and resolved config with ``extra``, and
-    report the CSV on stdout."""
+    """Write ``stem.csv`` of ``columns`` and its sidecar ``stem.json`` (the
+    command, version and resolved config, with ``extra``), and report it."""
     csv_path = out_path / f"{stem}.csv"
     _write_csv(csv_path, columns)
     _write_json(csv_path.with_suffix(".json"),
@@ -222,8 +220,7 @@ def _lines(model: str, params: ModelParams):
     edge state does not reach) and the departure of their sum from one, and
     that of each half's weights."""
     halves = _line_spectra(model, params)
-    table = edge_lines(*halves)
-    energies, w00, _ = table
+    energies, w00, _ = table = edge_lines(*halves)
     sym, anti = (float(np.sum(half.weights)) - 1.0 for half in halves)
     return halves, table, {
         "lines": int(energies.size),
@@ -241,11 +238,10 @@ def _density_diagnostics(rhon0) -> dict:
     return {"points": int(rhon0.size), "zero_cross_points": int(zeros)}
 
 
-def _window(cfg: dict, default: tuple[float, float]) -> tuple[float, float]:
-    """``(t_max, dt)``: the config's ``tmax`` and ``dt`` where set, else ``default``'s."""
-    t_default, dt_default = default
-    return (t_default if cfg["tmax"] is None else float(cfg["tmax"]),
-            dt_default if cfg["dt"] is None else float(cfg["dt"]))
+def _window(cfg: dict, t_max: float, dt: float) -> tuple[float, float]:
+    """The config's ``tmax`` and ``dt`` where set, else the given ones."""
+    return (t_max if cfg["tmax"] is None else float(cfg["tmax"]),
+            dt if cfg["dt"] is None else float(cfg["dt"]))
 
 
 def _energy_grid(cfg: dict, params: ModelParams, model: str) -> np.ndarray:
@@ -396,7 +392,7 @@ def dynamics(config_path, out, compare, first_transfer, **flag_values):
     _require(cfg["model"], lambda m: m.lines is not None,
              "dynamics needs a line-resolved model ({})")
     out_path = _out_dir(out)
-    t_max, dt = _window(cfg, default_time_grid(params))
+    t_max, dt = _window(cfg, *default_time_grid(params))
     if t_max < 0:
         raise ValueError(f"tmax must be >= 0, got {t_max}")
     if not dt > 0:
@@ -440,7 +436,7 @@ def _noon_single(cfg: dict, params: ModelParams):
     _require(model, lambda m: m.sector and m.lines is not None,
              "noon statistics need sector line spectra; use model {}")
     halves, (energies, w00, wn0), diagnostics = _lines(model, params)
-    t_max, dt = _window(cfg, default_sampling_window(params, energies))
+    t_max, dt = _window(cfg, *default_sampling_window(params, energies))
     hist, feasibility, (c0_sq, cn_sq) = noon_statistics(
         *halves, t_max, dt, int(cfg["bins"]), cfg["noon_threshold"])
     # each centre's text once, written as it is in every row that holds it

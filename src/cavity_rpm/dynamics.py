@@ -77,11 +77,9 @@ def _block_sums(energies: np.ndarray, weights: np.ndarray, n: int, dt: float, ce
     A chunk holds ``_CHUNK_BLOCKS`` blocks, and the last one also the partial
     block at the end, so that no chunk is shorter than a block.  Each chunk
     is the matrix product of its phasors, a row per block, with the ``L x B``
-    table; the partial block rides in the last product and is cut to its
-    samples.  The lines are summed in blocks of ``_PRODUCT_LINES``, one
-    matrix product each, added in line order, so that no BLAS thread count
-    changes the order of the sum.  A row's last bits depend on the row count
-    of its product.
+    table, summed over ``_PRODUCT_LINES`` lines at a time in line order; the
+    partial block rides in it and is cut to its samples.  A row's last bits
+    depend on the row count of its product.
     Takes any number of lines, none included (the sums are then zero).
     Lines of zero weight add nothing and are skipped.
     """

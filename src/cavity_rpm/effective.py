@@ -349,9 +349,7 @@ def _chain_lines(d: np.ndarray, e: np.ndarray, lam: np.ndarray | None):
         # a diagonal chain: its diagonal, unsorted, is its eigenvalues, and
         # its first state carries weight 1.  The merge of parity_chain_spectra
         # sorts the levels and takes coinciding ones (all of them at g = 0) as one
-        weights = np.zeros(d.size)
-        weights[0] = 1.0
-        return d, weights
+        return d, np.eye(1, d.size)[0]
     weights = _edge_weights(d, e, lam)
     total = float(weights.sum())
     if not abs(total - 1.0) <= DIAGONAL_SUM_TOL:
@@ -399,9 +397,9 @@ def parity_chain_spectra(h: SectorHamiltonian) -> tuple[LineSpectrum, LineSpectr
     without its first row, run at all of them at once, gives the weights
     (:func:`_edge_weights`): two eigensolves in all, time O(N^2), memory
     O(N).  A chain with no coupling (J = 0, or a chain of one state) is
-    diagonal and takes neither.  From ``_CONCURRENT_ROWS`` rows of the symmetric chain on, a
-    worker thread solves it while the calling thread solves the
-    antisymmetric one; the worker is joined, and its error re-raised, before
+    diagonal and takes neither.  From ``_CONCURRENT_ROWS`` rows of the
+    symmetric chain on, a worker thread solves it while the calling thread
+    solves the antisymmetric one; the worker is joined, and its error re-raised, before
     the call returns.  Both paths give the same bytes.  Below the threshold,
     where a thread costs more than it saves, the call stays serial.
     Returns ``(sym, anti)``, of ``N//2 + 1`` and
