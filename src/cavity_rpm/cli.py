@@ -90,12 +90,17 @@ _KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
 _CSV_ROWS = 1024
 
 
+def _repeated(items) -> list:
+    """The entries that ``items`` holds more than once, sorted."""
+    return sorted(item for item, count in Counter(items).items() if count > 1)
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
 
     def unique_keys(pairs):
-        repeated = sorted(key for key, count in Counter(k for k, _ in pairs).items() if count > 1)
+        repeated = _repeated(k for k, _ in pairs)
         if repeated:
             raise ValueError(f"{path}: duplicate config keys: {', '.join(repeated)}")
         return dict(pairs)
@@ -268,6 +273,9 @@ def _energy_grid(cfg: dict, params: ModelParams, model: str) -> np.ndarray:
         lo, hi = lo - pad, hi + pad
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid bounds must be finite, got [{lo}, {hi}]")
+    # finite bounds whose span overflows would make every step NaN
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"grid span overflowed: hi - lo must be finite, got [{lo}, {hi}]")
     return np.linspace(lo, hi, points)
 
 
@@ -465,11 +473,15 @@ def _noon_single(cfg: dict, params: ModelParams):
 def noon(config_path, out, **flag_values):
     """Histogram joint edge-state amplitudes and score N00N reachability."""
     cfg = _resolve(config_path, flag_values)
-    out_path = _out_dir(out)
     sweep = cfg["sweep_n"]
     if sweep == []:
         raise ValueError("sweep_n must be a non-empty list of photon numbers")
+    # each photon number once, 4.0 counting as 4: a repeat would overwrite its own files
+    repeated = _repeated(map(int, sweep or ()))
+    if repeated:
+        raise ValueError(f"duplicate sweep_n photon numbers: {', '.join(map(str, repeated))}")
     cfgs = [cfg] if sweep is None else [{**cfg, "N": int(n), "sweep_n": None} for n in sweep]
+    out_path = _out_dir(out)
     results = [_noon_single(c, _params(c)) for c in cfgs]
     for sub_cfg, (columns, extra) in zip(cfgs, results):
         suffix = "" if sweep is None else f"_N{sub_cfg['N']}"
@@ -482,11 +494,11 @@ def noon(config_path, out, **flag_values):
 def validate(config_path, out, **flag_values):
     """Run the named cross-check suite and write a pass/fail report."""
     cfg = _resolve(config_path, flag_values)
-    out_path = _out_dir(out)
     names = cfg["checks"]
     if names is not None and not names:
         raise ValueError("checks must be a non-empty list of check names")
     report = run_checks(names)
+    out_path = _out_dir(out)
     report_path = out_path / "validation_report.json"
     _write_json(report_path, {"command": "validate", "version": __version__, "config": cfg,
                               **report.as_dict()})

@@ -9,16 +9,18 @@ tunneling amplitudes next to it.
 Line spectra come from the two exchange-parity chains of that matrix
 (:func:`parity_chain_spectra`), one per parity half: per chain one
 eigensolve, eigenvalues only, and one pivot sweep for the weights, in
-O(N^2) time and O(N) memory.  The eigensolves call LAPACK through a ctypes
-binding that releases the GIL, so long chains are solved side by side on
-two threads.  The binding comes from SciPy's ``cython_lapack`` extension,
-loaded from its file without the ``scipy.linalg`` package, whose import
-takes longer than a figure-scale command computes.  The dense eigensolve
-with eigenvectors (:func:`diagonalize`, :func:`spectra_from_eigen`) is the
-oracle that the chains, and the projection recursion, are validated
-against.  It does not use parity: it gives the line table directly, with
-eigenvalues closer than ``MERGE_RTOL`` taken as one line, the only
-tolerance clustering of lines in the package.
+O(N^2) time and O(N) memory.  The eigensolves call LAPACK ``dsterf``
+through a ctypes binding that releases the GIL, so long chains are solved
+side by side on two threads.  The binding comes from SciPy's
+``cython_lapack`` extension, loaded from its file without the
+``scipy.linalg`` package, whose import takes longer than a figure-scale
+command computes.  The dense eigensolve with eigenvectors
+(:func:`diagonalize`, :func:`spectra_from_eigen`), NumPy's ``eigh`` of the
+dense matrix, is the oracle that the chains, and the projection recursion,
+are validated against; it shares no eigensolver with the chains.  It does
+not use parity: it gives the line table directly, with eigenvalues closer
+than ``MERGE_RTOL`` taken as one line, the only tolerance clustering of
+lines in the package.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ MERGE_RTOL = 1e-9
 # two chains' eigensolves on two threads: below about 192 a thread costs
 # more wall time than it saves, and at 256 it saves about a tenth
 _CONCURRENT_ROWS = 256
-# held while the dstevd binding is looked up, so that it is made once
+# held while the dsterf binding is looked up, so that it is made once
 _BINDING_LOCK = threading.Lock()
 
 
@@ -140,16 +142,25 @@ def build_sector_hamiltonian(params: ModelParams) -> SectorHamiltonian:
 
 
 def diagonalize(h: SectorHamiltonian) -> EigenDecomposition:
-    """Full eigen-decomposition of the sector matrix.
+    """Full eigen-decomposition of the sector matrix, by NumPy's ``eigh`` of
+    its dense form: an eigensolver the parity chains do not use.
 
     Eigenvalues ascending, orthonormal eigenvectors as the solver returns them.
 
     Raises
     ------
     NumericalFailureError
-        If the tridiagonal eigensolver fails to converge.
+        If the eigensolver fails to converge.
     """
-    energies, vectors = _eigh_tridiagonal(h.diag, h.offdiag, vectors=True)
+    n = h.diag.size
+    dense = np.zeros((n, n))
+    dense.flat[::n + 1] = h.diag
+    dense.flat[1::n + 1] = h.offdiag
+    dense.flat[n::n + 1] = h.offdiag
+    try:
+        energies, vectors = np.linalg.eigh(dense)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"dense eigensolver failed: {exc}") from exc
     return EigenDecomposition(energies=energies, vectors=vectors)
 
 
@@ -189,8 +200,8 @@ def spectra_from_eigen(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarr
     return _merge_close_levels(decomp.energies, first**2, last * first)
 
 
-def _lapack_dstevd():
-    """ctypes binding of LAPACK ``dstevd``, from the function pointer that
+def _lapack_dsterf():
+    """ctypes binding of LAPACK ``dsterf``, from the function pointer that
     SciPy exports in ``scipy.linalg.cython_lapack.__pyx_capi__``.  A ctypes
     foreign function releases the GIL for the call.  Every call, on any
     thread, returns the same binding."""
@@ -200,11 +211,11 @@ def _lapack_dstevd():
     # the scipy package: without the lock the other thread could find it
     # there without its __pyx_capi__ yet.
     with _BINDING_LOCK:
-        return _dstevd_binding()
+        return _dsterf_binding()
 
 
 @functools.cache
-def _dstevd_binding():
+def _dsterf_binding():
     module_name = "scipy.linalg.cython_lapack"
     cython_lapack = sys.modules.get(module_name)
     if cython_lapack is None:
@@ -221,7 +232,7 @@ def _dstevd_binding():
         # this module instead of loading it again
         sys.modules[module_name] = cython_lapack
 
-    capsule = cython_lapack.__pyx_capi__["dstevd"]
+    capsule = cython_lapack.__pyx_capi__["dsterf"]
     # prototypes of its own, as setting argtypes on ctypes.pythonapi's
     # functions would change them for every other caller
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -230,59 +241,39 @@ def _dstevd_binding():
         ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
     double_p = ctypes.POINTER(ctypes.c_double)
     int_p = ctypes.POINTER(ctypes.c_int)
-    # jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info
-    return ctypes.CFUNCTYPE(None, ctypes.c_char_p, int_p, double_p, double_p, double_p,
-                            int_p, double_p, int_p, int_p, int_p, int_p)(address)
+    # n, d, e, info
+    return ctypes.CFUNCTYPE(None, int_p, double_p, double_p, int_p)(address)
 
 
-def _first(a: np.ndarray, ctype=ctypes.c_double):
-    """The first element of the C-contiguous array ``a`` as a ``ctype`` over
-    its buffer, which a ctypes pointer argument takes by reference and which
-    keeps ``a`` alive; ``None`` (a null pointer) if ``a`` is empty."""
-    return ctype.from_buffer(a) if a.size else None
-
-
-def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, vectors: bool):
-    """Ascending eigenvalues of the symmetric tridiagonal matrix ``(d, e)``,
-    with its eigenvectors as the columns of a Fortran-ordered array if
-    ``vectors``, else ``None``: LAPACK ``dstevd`` through
-    :func:`_lapack_dstevd`, with the workspace sizes of SciPy's f2py
-    wrapper.  For eigenvalues only it runs ``dsterf``.  The call releases
-    the GIL, so :func:`parity_chain_spectra` can run two at once.
+def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray | None:
+    """Ascending eigenvalues of the chain ``(d, e)``, by LAPACK ``dsterf``
+    through :func:`_lapack_dsterf`, or None where it has no coupling (J = 0,
+    or a chain of one state): a diagonal chain needs no eigensolve.  The
+    call releases the GIL, so :func:`parity_chain_spectra` can run two at
+    once.
 
     Raises
     ------
     NumericalFailureError
         If the eigensolver fails to converge.
     """
-    n = d.size
+    if not e.any():
+        return None
     energies = np.array(d, dtype=float)
-    # dstevd overwrites the off-diagonal
+    # dsterf overwrites the off-diagonal
     off = np.array(e, dtype=float)
     # LAPACK reads n - 1 couplings whatever the buffer holds
-    if energies.ndim != 1 or off.shape != (max(n - 1, 0),):
+    if energies.ndim != 1 or off.shape != (energies.size - 1,):
         raise ValueError("a tridiagonal matrix needs n diagonal and n - 1 off-diagonal entries")
-    # dstevd writes each eigenvector as a Fortran column, a row of this
-    # C-ordered array: z.T holds them as columns
-    z = np.empty((n, n) if vectors else (1, 1))
-    work = np.empty(1 + 4 * n + n * n if vectors else 1)
-    iwork = np.empty(3 + 5 * n if vectors else 1, dtype=np.intc)
     info = ctypes.c_int()
-    _lapack_dstevd()(b"V" if vectors else b"N", ctypes.c_int(n), _first(energies),
-                     _first(off), _first(z), ctypes.c_int(max(1, z.shape[0])), _first(work),
-                     ctypes.c_int(work.size), _first(iwork, ctypes.c_int),
-                     ctypes.c_int(iwork.size), info)
+    # each buffer as a c_double over its first element, which a pointer
+    # argument takes by reference and which keeps the array alive
+    _lapack_dsterf()(ctypes.c_int(energies.size), ctypes.c_double.from_buffer(energies),
+                     ctypes.c_double.from_buffer(off), info)
     if info.value != 0:
         raise NumericalFailureError(
-            f"tridiagonal eigensolver failed: LAPACK dstevd info={info.value}")
-    return energies, z.T if vectors else None
-
-
-def _chain_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray | None:
-    """Ascending eigenvalues of the chain ``(d, e)``, or None where it has no
-    coupling (J = 0, or a chain of one state): a diagonal chain needs no
-    eigensolve."""
-    return _eigh_tridiagonal(d, e, vectors=False)[0] if e.any() else None
+            f"tridiagonal eigensolver failed: LAPACK dsterf info={info.value}")
+    return energies
 
 
 def _edge_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:

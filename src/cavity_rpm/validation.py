@@ -447,11 +447,14 @@ CHECKS = {
 
 
 def run_checks(names=None) -> ValidationReport:
-    """Run the selected named checks (all of them by default)."""
+    """Run the selected named checks (all of them by default), each named once."""
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check names: {', '.join(sorted(unknown))}")
+    repeated = sorted(n for n in set(names) if names.count(n) > 1)
+    if repeated:
+        raise ValueError(f"duplicate check names: {', '.join(repeated)}")
     results = tuple(CHECKS[name]() for name in names)
     return ValidationReport(results=results)

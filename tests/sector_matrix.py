@@ -1,5 +1,6 @@
 """The dense form of the sector matrix, for tests that check against dense
-linear algebra.  The package itself never forms it."""
+linear algebra.  The package forms it only inside the dense oracle,
+``effective.diagonalize``."""
 
 import numpy as np
 

@@ -255,7 +255,7 @@ def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, args):
 
 # in a fresh interpreter: every command that solves a parity chain, then a
 # later import of scipy.linalg, which must find the extension the binding
-# loaded, and SciPy's own dstevd, which must give the binding's bytes
+# loaded, and SciPy's own dsterf, which must give the binding's bytes
 ORACLE_COMMANDS_THEN_SCIPY_LINALG = """
 import sys
 from cavity_rpm import cli, effective
@@ -277,7 +277,7 @@ assert cython_lapack is loaded
 for n in (100, 600):
     h = build_sector_hamiltonian(ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=0.8))
     for d, e in effective._parity_chains(h)[1:]:
-        reference, _, info = lapack.dstevd(d, e, compute_v=0)
+        reference, info = lapack.dsterf(d, e)
         assert info == 0
         assert effective._chain_eigenvalues(d, e).tobytes() == reference.tobytes()
 print("ok")
@@ -286,7 +286,7 @@ print("ok")
 
 def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     """Neither the import nor any command loads the scipy.linalg package:
-    the dstevd binding loads its extension alone, and a later import of
+    the dsterf binding loads its extension alone, and a later import of
     scipy.linalg reuses that module."""
     probe = run_python("-c", "import sys, cavity_rpm.cli; print('scipy.linalg' in sys.modules)")
     assert probe.returncode == 0, probe.stderr
@@ -296,7 +296,7 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     assert probe.stdout.splitlines()[-1] == "ok"
 
 
-def test_dstevd_binding_after_scipy_linalg_import_loads_no_second_module():
+def test_dsterf_binding_after_scipy_linalg_import_loads_no_second_module():
     """With scipy.linalg imported first, the binding takes its extension
     from sys.modules and loads no module of its own."""
     probe = run_python("-c", """
@@ -317,7 +317,7 @@ print("ok")
     assert probe.stdout.strip() == "ok"
 
 
-def test_concurrent_first_calls_get_one_dstevd_binding():
+def test_concurrent_first_calls_get_one_dsterf_binding():
     """Eight threads released at once, switching every microsecond, make the
     process's first calls of the binding: none reads a half-initialised
     extension, and all get the same binding."""
@@ -331,7 +331,7 @@ bindings, errors = [], []
 def first_call():
     barrier.wait()
     try:
-        bindings.append(effective._lapack_dstevd())
+        bindings.append(effective._lapack_dsterf())
     except Exception as exc:
         errors.append(repr(exc))
 
@@ -563,6 +563,16 @@ def test_every_common_flag_reaches_its_config_key(tmp_path):
     (("spectrum", "--model", "anharmonic-rpm", "--N", 4, "--epsilon", 0.05),
      '{"delta": 0.5}', 2),
     (("validate",), '{"delta": 0.5}', 2),
+    # finite grid bounds whose span overflows, given or by default
+    (("spectrum", "--model", "harmonic", "--N", 4, "--epsilon", 0.1),
+     '{"grid": [-1e308, 1e308], "points": 5}', 2),
+    (("spectrum", "--model", "anharmonic-rpm", "--N", 4, "--epsilon", 0.1),
+     '{"grid": [-1e308, 1e308], "points": 5}', 2),
+    (("spectrum", "--model", "jc", "--N", 4, "--epsilon", 0.1),
+     '{"grid": [-1e308, 1e308], "points": 5}', 2),
+    (("spectrum", "--compare", "--N", 4, "--epsilon", 0.1),
+     '{"grid": [-1e308, 1e308], "points": 5}', 2),
+    (("spectrum", "--model", "harmonic", "--N", 1, "--J", 5e307, "--epsilon", 0.1), None, 2),
 ], ids=[
     "harmonic-J-nan", "rpm-J-inf", "rpm-epsilon-inf", "rpm-epsilon-1e308",
     "grid-1e999", "dynamics-tmax-inf", "noon-tmax-inf",
@@ -575,7 +585,8 @@ def test_every_common_flag_reaches_its_config_key(tmp_path):
     "g-integer-beyond-double", "tmax-integer-beyond-double",
     "empty-window-dt-negative", "empty-window-dt-zero", "dynamics-steps-overflow",
     "noon-steps-overflow", "delta-jc", "delta-harmonic", "delta-anharmonic-oracle",
-    "delta-anharmonic-rpm", "delta-validate",
+    "delta-anharmonic-rpm", "delta-validate", "grid-span-harmonic", "grid-span-rpm",
+    "grid-span-jc", "grid-span-compare", "default-grid-span",
 ])
 def test_bad_numeric_input_exits_without_csv(tmp_path, args, config, code):
     extra = ()
@@ -640,6 +651,23 @@ def test_config_key_given_twice_is_refused_by_name(tmp_path):
     result = invoke("spectrum", "--config", config, "--out", out)
     assert result.exit_code == 2
     assert result.output == f"error: {config}: duplicate config keys: N, g\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("noon", '{"sweep_n": [2, 4, 4.0, 2], "tmax": 5}', "duplicate sweep_n photon numbers: 2, 4"),
+    ("validate", '{"checks": ["parity", "completeness", "parity"]}',
+     "duplicate check names: parity"),
+], ids=["sweep_n", "checks"])
+def test_list_entry_given_twice_is_refused_by_name(tmp_path, command, config, message):
+    """A repeated photon number would run twice and overwrite its own files,
+    and a repeated check would run and be reported twice."""
+    path = tmp_path / "twice.json"
+    path.write_text(config)
+    out = tmp_path / "out"
+    result = invoke(command, "--model", "harmonic", "--config", path, "--out", out)
+    assert result.exit_code == 2
+    assert result.output == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -1,7 +1,10 @@
 """Sector Hamiltonian assembly and exact diagonalization."""
 
+import ctypes
 import itertools
 import math
+import re
+import sys
 import threading
 import tracemalloc
 
@@ -296,12 +299,13 @@ def test_parity_chains_unresolvable_weights_raise_numerical_failure():
 
 
 def test_eigensolver_failure_is_a_numerical_failure(monkeypatch, tmp_path):
-    """A nonzero LAPACK ``info``, set after a real call of the ``dstevd``
-    binding, raises NumericalFailureError on the dense route and on the
-    serial parity chains.  Above ``_CONCURRENT_ROWS`` only the worker
-    thread's eigensolve fails, and its error still reaches the caller and
-    makes the command line exit 3.  No call leaves a thread behind."""
-    binding = effective._lapack_dstevd()
+    """A nonzero LAPACK ``info``, set after a real call of the ``dsterf``
+    binding, raises NumericalFailureError on the serial parity chains, and
+    NumPy's ``LinAlgError`` does on the dense route.  Above
+    ``_CONCURRENT_ROWS`` only the worker thread's eigensolve fails, and its
+    error still reaches the caller and makes the command line exit 3.  No
+    call leaves a thread behind."""
+    binding = effective._lapack_dsterf()
     caller = threading.get_ident()
 
     def fail(where):
@@ -309,25 +313,32 @@ def test_eigensolver_failure_is_a_numerical_failure(monkeypatch, tmp_path):
             binding(*args)
             if where():
                 args[-1].value = 1
-        monkeypatch.setattr(effective, "_lapack_dstevd", lambda: failing)
+        monkeypatch.setattr(effective, "_lapack_dsterf", lambda: failing)
+
+    def not_converged(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     threads = threading.active_count()
     small = build_sector_hamiltonian(ModelParams(n_photons=6, omega0=1.0, g=1.2, j_tun=0.8))
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "eigh", not_converged)
+        with pytest.raises(NumericalFailureError,
+                           match="dense eigensolver failed: Eigenvalues did not converge"):
+            diagonalize(small)
     fail(lambda: True)
-    for route in (diagonalize, parity_chain_spectra):
-        with pytest.raises(NumericalFailureError, match="dstevd info=1"):
-            route(small)
-        assert threading.active_count() == threads
+    with pytest.raises(NumericalFailureError, match="dsterf info=1"):
+        parity_chain_spectra(small)
+    assert threading.active_count() == threads
     n = 2 * effective._CONCURRENT_ROWS
     fail(lambda: threading.get_ident() != caller)
-    with pytest.raises(NumericalFailureError, match="dstevd info=1"):
+    with pytest.raises(NumericalFailureError, match="dsterf info=1"):
         parity_chain_spectra(build_sector_hamiltonian(
             ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=0.8)))
     assert threading.active_count() == threads
     result = CliRunner().invoke(main, ["spectrum", "--model", "anharmonic-oracle",
                                        "--N", str(n), "--out", str(tmp_path)])
     assert result.exit_code == 3
-    assert "dstevd info=1" in result.output
+    assert "dsterf info=1" in result.output
     assert threading.active_count() == threads
 
 
@@ -359,8 +370,11 @@ AT_THRESHOLD = 2 * effective._CONCURRENT_ROWS - 2
 ])
 def test_chain_eigenvalues_equal_the_f2py_dstevd(monkeypatch, n, g, j, omega0):
     """Serial and on two threads, the binding's eigenvalues are those of
-    SciPy's f2py ``dstevd`` bit for bit, also where ``dsterf`` scales a
-    chain of norm 1e-300 or 1e300."""
+    SciPy's f2py ``dsterf``, the routine that ``dstevd`` runs for
+    eigenvalues only, bit for bit, also where ``dsterf`` scales a chain of
+    norm 1e-300 or 1e300.  ``dstevd`` first scales a chain whose largest
+    entry lies outside about 1e-146 to 1e146, which moves the last bits
+    there, so the reference is ``dsterf`` itself."""
     from scipy.linalg import lapack
 
     calls = _recorded_chain_eigenvalues(monkeypatch)
@@ -368,28 +382,72 @@ def test_chain_eigenvalues_equal_the_f2py_dstevd(monkeypatch, n, g, j, omega0):
         ModelParams(n_photons=n, omega0=omega0, g=g, j_tun=j)))
     assert sorted(d.size for d, _, _ in calls) == [(n + 1) // 2, n // 2 + 1]
     for d, e, lam in calls:
-        reference, _, info = lapack.dstevd(d, e, compute_v=0)
+        reference, info = lapack.dsterf(d, e)
         assert info == 0
         assert lam.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 101])
 def test_dense_eigenpairs_equal_the_f2py_dstevd(n):
+    """The dense oracle, NumPy's ``eigh`` of the dense matrix, against
+    SciPy's f2py ``dstevd`` of the tridiagonal one: the eigenvalues and the
+    edge weights ``first**2`` and ``last * first`` agree to rounding."""
     from scipy.linalg import lapack
 
     h = build_sector_hamiltonian(ModelParams(n_photons=n, omega0=1.0, g=1.2, j_tun=0.8))
     decomp = diagonalize(h)
     energies, vectors, info = lapack.dstevd(h.diag, h.offdiag, compute_v=1)
     assert info == 0
-    assert decomp.energies.tobytes() == energies.tobytes()
-    assert decomp.vectors.tobytes("A") == vectors.tobytes("A")
-    assert decomp.vectors.flags.f_contiguous
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(decomp.energies, energies, rtol=0,
+                               atol=16 * n * eps * np.abs(energies).max())
+    first, last = decomp.vectors[0], decomp.vectors[-1]
+    np.testing.assert_allclose(first**2, vectors[0] ** 2, rtol=0, atol=16 * n * eps)
+    np.testing.assert_allclose(last * first, vectors[-1] * vectors[0], rtol=0,
+                               atol=16 * n * eps)
+
+
+def test_the_routes_share_no_eigensolver(monkeypatch):
+    """With the chains' binding refused the dense oracle still runs, and with
+    NumPy's ``eigh`` refused the parity chains do."""
+    h = build_sector_hamiltonian(ModelParams(n_photons=100, omega0=1.0, g=1.2, j_tun=0.8))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the other route's eigensolver ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(effective, "_lapack_dsterf", refused)
+        spectra_from_eigen(diagonalize(h))
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "eigh", refused)
+        parity_chain_spectra(h)
+
+
+def test_binding_prototype_matches_the_c_signature():
+    """SciPy names each ``cython_lapack`` capsule by its C signature, here
+    ``void (int *, d *, d *, int *)`` with ``d`` Cython's mangled double.
+    The binding's ctypes prototype must match it argument for argument: a
+    wrong one would corrupt memory, not raise."""
+    binding = effective._lapack_dsterf()
+    capsule = sys.modules["scipy.linalg.cython_lapack"].__pyx_capi__["dsterf"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule).decode()
+    signature = re.fullmatch(r"void \((.*)\)", name)
+    assert signature, name
+    pointees = {"int *": ctypes.c_int, "_d *": ctypes.c_double}
+    expected = []
+    for argument in signature[1].split(", "):
+        suffix = next((s for s in pointees if argument.endswith(s)), None)
+        assert suffix is not None, argument
+        expected.append(ctypes.POINTER(pointees[suffix]))
+    assert binding.restype is None
+    assert list(binding.argtypes) == expected
 
 
 def test_eigensolver_refuses_a_short_off_diagonal():
     """LAPACK would read n - 1 couplings past the end of a shorter buffer."""
     with pytest.raises(ValueError, match="n - 1 off-diagonal"):
-        effective._eigh_tridiagonal(np.zeros(3), np.ones(1), vectors=False)
+        effective._chain_eigenvalues(np.zeros(3), np.ones(1))
 
 
 @pytest.mark.parametrize("n, j", [(6, 0.8), (101, 0.8), (AT_THRESHOLD, 0.8),
@@ -521,7 +579,10 @@ def unique_form_halves(h):
     halves = []
     for d, e in chains:
         if not e[:1].any():
-            rest = effective._eigh_tridiagonal(d[1:], e[1:], vectors=False)[0]
+            # the sector's couplings vanish together, so the chain without
+            # that state is diagonal too: its sorted diagonal is its eigenvalues
+            assert not e.any()
+            rest = np.sort(d[1:])
             lam, first = np.unique(np.concatenate([d[:1], rest]), return_index=True)
             weights = np.where(first == 0, 1.0, 0.0)
         else:
@@ -559,7 +620,7 @@ def test_an_uncoupled_chain_runs_no_eigensolve(monkeypatch, n, rows):
     def refused(*args, **kwargs):
         raise AssertionError("an eigensolve ran")
 
-    monkeypatch.setattr(effective, "_eigh_tridiagonal", refused)
+    monkeypatch.setattr(effective, "_lapack_dsterf", refused)
     if rows is not None:
         monkeypatch.setattr(effective, "_CONCURRENT_ROWS", rows)
     for half, (energies, weights) in zip(parity_chain_spectra(h), reference):
